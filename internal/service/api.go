@@ -2,6 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -14,6 +16,71 @@ import (
 
 // Pair is one scheduled connection, serialized compactly as [src, dst].
 type Pair [2]int
+
+var errPair = errors.New("service: a pair must be [int,int]")
+
+// UnmarshalJSON decodes exactly [src,dst] without reflection — the configs
+// are most of a reply, so decoding them is most of a client's work on a
+// warm hit. It accepts JSON whitespace around every token and rejects
+// anything but two integers in int's range; null is a no-op, as
+// encoding/json treats it for an array.
+func (p *Pair) UnmarshalJSON(b []byte) error {
+	i := skipSpace(b, 0)
+	if len(b)-i >= 4 && string(b[i:i+4]) == "null" {
+		if skipSpace(b, i+4) != len(b) {
+			return errPair
+		}
+		return nil
+	}
+	if i >= len(b) || b[i] != '[' {
+		return errPair
+	}
+	var v Pair
+	for k, end := range [2]byte{',', ']'} {
+		n, next, ok := parseInt(b, skipSpace(b, i+1))
+		if !ok {
+			return errPair
+		}
+		i = skipSpace(b, next)
+		if i >= len(b) || b[i] != end {
+			return errPair
+		}
+		v[k] = n
+	}
+	if skipSpace(b, i+1) != len(b) {
+		return errPair
+	}
+	*p = v
+	return nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte of b at or
+// after i (JSON whitespace: space, tab, newline, carriage return).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// parseInt parses the JSON integer starting at b[i] (an optional minus,
+// then 0 or digits without a leading zero) and returns it with the index
+// after it; ok is false for anything else or a value outside int.
+func parseInt(b []byte, i int) (n, next int, ok bool) {
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	digits := j
+	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
+		j++
+	}
+	if j == digits || (b[digits] == '0' && j-digits > 1) {
+		return 0, 0, false
+	}
+	v, err := strconv.ParseInt(string(b[i:j]), 10, 0)
+	return int(v), j, err == nil
+}
 
 // PhaseResult is the compiled artifact of one phase.
 type PhaseResult struct {
@@ -172,11 +239,14 @@ type EndpointMetrics struct {
 
 // CacheMetrics reports the schedule cache's state.
 type CacheMetrics struct {
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
+	Entries  int    `json:"entries"`
+	Capacity int    `json:"capacity"`
+	Hits     uint64 `json:"hits"`
+	// DigestHits counts the hits that were byte-identical repeats of an
+	// earlier request, served without decoding it; a subset of Hits.
+	DigestHits uint64 `json:"digest_hits"`
+	Misses     uint64 `json:"misses"`
+	Evictions  uint64 `json:"evictions"`
 }
 
 // StoreMetrics reports the persistent schedule store's state; all-zero

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"encoding/json"
 	"sync"
 )
@@ -16,12 +17,21 @@ import (
 // tenant's warm state. Values are immutable json.RawMessage blobs, so a
 // hit hands out the exact bytes the cold compile produced and no copying
 // is needed.
+//
+// Each entry also remembers the digest of the last raw request that
+// resolved to it (its alias), so a byte-identical repeat finds its artifact
+// without being decoded. An alias lives and dies with its entry: one per
+// entry, replaced by a newer raw form, dropped on eviction — so aliases
+// inherit the partition bounds and a flooding tenant cannot evict another
+// tenant's aliases either.
 type lruCache struct {
 	mu         sync.Mutex
 	defaultCap int
 	parts      map[string]*cachePartition
-	items      map[string]*list.Element // global: key -> element in its partition's list
+	items      map[string]*list.Element        // global: key -> element in its partition's list
+	aliases    map[requestDigest]*list.Element // raw-request digest -> the entry it resolved to
 	hits       uint64
+	digestHits uint64
 	misses     uint64
 	evictions  uint64
 
@@ -44,7 +54,15 @@ type cacheEntry struct {
 	key    string
 	tenant string
 	val    json.RawMessage
+	// alias is the digest of the last raw request that resolved to this
+	// entry; valid when aliased.
+	alias   requestDigest
+	aliased bool
 }
+
+// requestDigest is the SHA-256 of a raw /compile or /recompile request
+// (see digestRequest).
+type requestDigest [sha256.Size]byte
 
 // newLRUCache builds the cache. defaultCap bounds any partition created on
 // demand (a tenant first seen at runtime — e.g. the owner of a replicated
@@ -54,6 +72,7 @@ func newLRUCache(defaultCap int) *lruCache {
 		defaultCap: defaultCap,
 		parts:      make(map[string]*cachePartition),
 		items:      make(map[string]*list.Element),
+		aliases:    make(map[requestDigest]*list.Element),
 	}
 }
 
@@ -96,6 +115,42 @@ func (c *lruCache) GetOwned(key string) (json.RawMessage, string, bool) {
 	return e.val, e.tenant, true
 }
 
+// GetDigest resolves a raw-request digest to the key and artifact of the
+// entry it aliases, bumping the entry's recency. A hit counts as a cache
+// hit (and a digest hit); a miss counts nothing, because the caller goes on
+// to decode the request and Get its key, which counts the outcome.
+func (c *lruCache) GetDigest(d requestDigest) (string, json.RawMessage, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.aliases[d]
+	if !ok {
+		return "", nil, false
+	}
+	c.hits++
+	c.digestHits++
+	e := el.Value.(*cacheEntry)
+	c.parts[e.tenant].ll.MoveToFront(el)
+	return e.key, e.val, true
+}
+
+// Alias records d as the raw form of key's entry, replacing the entry's
+// previous alias. A key no longer cached (evicted since it resolved) gets
+// none. A digest determines its key, so d never aliases two entries.
+func (c *lruCache) Alias(key string, d requestDigest) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if e.aliased {
+		delete(c.aliases, e.alias)
+	}
+	e.alias, e.aliased = d, true
+	c.aliases[d] = el
+}
+
 // Add inserts (or refreshes) an artifact billed to a tenant, evicting the
 // least recently used entries of that tenant's partition when it runs over
 // capacity. A key that is already cached keeps its original owner — the
@@ -115,6 +170,9 @@ func (c *lruCache) Add(key, tenant string, val json.RawMessage) {
 			p.ll.Remove(oldest)
 			e := oldest.Value.(*cacheEntry)
 			delete(c.items, e.key)
+			if e.aliased {
+				delete(c.aliases, e.alias)
+			}
 			c.evictions++
 			p.evictions++
 			evicted = append(evicted, e)
@@ -151,10 +209,11 @@ func (c *lruCache) Metrics() CacheMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := CacheMetrics{
-		Entries:   len(c.items),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+		Entries:    len(c.items),
+		Hits:       c.hits,
+		DigestHits: c.digestHits,
+		Misses:     c.misses,
+		Evictions:  c.evictions,
 	}
 	for _, p := range c.parts {
 		m.Capacity += p.cap

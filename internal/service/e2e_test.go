@@ -131,6 +131,28 @@ func TestCompileOrderInvariance(t *testing.T) {
 	if !bytes.Equal(resp.Result, resp2.Result) {
 		t.Fatal("permuted request returned a different artifact")
 	}
+	// The permuted body took the full path (decode, sort, key) once; its
+	// byte-identical repeat is answered from the digest alias it left.
+	digestHits := func() uint64 {
+		snap, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Cache.DigestHits
+	}
+	if n := digestHits(); n != 0 {
+		t.Fatalf("digest hits after the first permuted request = %d, want 0", n)
+	}
+	resp3, _, err := c.Compile(ctx, shuffled, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp3.Key != resp.Key || resp3.Cache != service.CacheHit || !bytes.Equal(resp3.Result, resp.Result) {
+		t.Fatalf("repeat of the permuted request: key %s state %q, want key %s, a byte-identical hit", resp3.Key, resp3.Cache, resp.Key)
+	}
+	if n := digestHits(); n != 1 {
+		t.Fatalf("digest hits after the repeat = %d, want 1", n)
+	}
 }
 
 func TestCompileDynamicPhaseFallback(t *testing.T) {
@@ -265,6 +287,13 @@ func TestBadRequests(t *testing.T) {
 		return resp.StatusCode
 	}
 	valid := `{"name":"x","pes":64,"phases":[{"name":"p","messages":[{"src":0,"dst":1,"flits":1}]}]}`
+	// valid compiles, leaving an alias its repeat is answered from; the
+	// same body under a bad query must still be rejected, not aliased.
+	for i := 0; i < 2; i++ {
+		if code := post("/compile", valid); code != http.StatusOK {
+			t.Fatalf("valid compile -> %d, want 200", code)
+		}
+	}
 
 	if code := post("/compile", "{not json"); code != http.StatusBadRequest {
 		t.Fatalf("malformed JSON -> %d, want 400", code)

@@ -1,0 +1,103 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/redist"
+	"repro/internal/topology"
+	"repro/internal/trace"
+)
+
+// redistBody returns a single-phase /compile body holding one of the
+// paper's Table 2 redistributions (a random block-cyclic redistribution of
+// a 64×64×64 array over the 8×8 torus's 64 PEs) with 900 to 1100 messages.
+// The stream is fixed, so every run posts the same body.
+func redistBody(t testing.TB) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		pat, _, _, err := redist.RandomRedistribution(rng, [3]int{64, 64, 64}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pat.Reqs) < 900 || len(pat.Reqs) > 1100 {
+			continue
+		}
+		msgs := make([]trace.Message, len(pat.Reqs))
+		for j, r := range pat.Reqs {
+			msgs[j] = trace.Message{Src: int(r.Src), Dst: int(r.Dst), Flits: (pat.Volume[r] + apps.FlitElements - 1) / apps.FlitElements}
+		}
+		// Compact, as internal/service/client sends it.
+		body, err := json.Marshal(trace.Document{Name: "redist", PEs: 64, Phases: []trace.Phase{{Name: "redistribute", Messages: msgs}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	t.Fatal("no redistribution of about 1000 messages in the stream")
+	return nil
+}
+
+// nullWriter is the least a handler can write to: a reused header map and a
+// byte count.
+type nullWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) WriteHeader(code int)        { w.status = code }
+func (w *nullWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// rewindBody is a request body that can be replayed without allocating.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// TestHitPathAllocs bounds the allocations of an in-process /compile hit:
+// Server.ServeHTTP answering a byte-identical repeat of a ~1000-message
+// redistribution (a 31 KB body), with no client, no transport and a writer
+// that keeps nothing. Before the request-digest alias and the spliced
+// envelope the repeat took 87 allocations (go1.24, linux/amd64): the body
+// read, the trace decode, the per-phase sort, the pattern key and the
+// envelope encode. It now takes 8 — reading and hashing the body, the
+// envelope's head and its two headers — and the bound leaves room for
+// other Go releases.
+func TestHitPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := newWhiteboxServer(t, Config{Topology: topology.NewTorus(8, 8)})
+	body := redistBody(t)
+	rb := &rewindBody{}
+	req, err := http.NewRequest(http.MethodPost, "/compile", rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(body))
+	w := &nullWriter{h: make(http.Header)}
+	post := func() {
+		rb.Reset(body)
+		w.status, w.n = 0, 0
+		s.ServeHTTP(w, req)
+	}
+	post() // the compile
+	if w.status != http.StatusOK {
+		t.Fatalf("compile answered %d", w.status)
+	}
+	allocs := testing.AllocsPerRun(50, post)
+	if w.status != http.StatusOK || w.n == 0 {
+		t.Fatalf("repeat answered %d with %d bytes", w.status, w.n)
+	}
+	const bound = 12
+	t.Logf("hit path: %.0f allocs per request (bound %d)", allocs, bound)
+	if allocs > bound {
+		t.Fatalf("hit path took %.0f allocs per request, bound %d", allocs, bound)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/store"
 	"repro/internal/switchprog"
+	"repro/internal/topology"
 )
 
 // This file is the service's persistence and incremental-recompilation
@@ -36,44 +37,80 @@ import (
 // through it and is unbounded.
 const maxBaseCandidates = 32
 
-// maxMaskedViews bounds the masked-view cache: a real fault persists across
-// many recompile requests, so the daemon keeps the handful of fault masks
-// it is actively serving (with their warm route caches) instead of building
-// a cold view per request. Evicted views release their route-cache entry,
-// so the process-wide cache cannot churn without bound.
-const maxMaskedViews = 8
+// maxViews bounds the topology-view table: besides the daemon's own
+// topology it keeps the handful of named topologies (?topology=) and fault
+// masks requests are actively using, with their warm route caches, instead
+// of building a cold instance per request. Evicted views release their
+// route-cache entry, so the process-wide cache cannot churn without bound.
+const maxViews = 8
 
-// maskedViewCache caches fault-masked topology views keyed by topology name
-// plus the canonical fault-set string.
-type maskedViewCache struct {
-	mu sync.Mutex
-	m  map[string]*fault.Masked
+// viewKey names one view: a topology by name, plus the canonical fault-set
+// string for a masked view ("" for the healthy topology).
+type viewKey struct{ topo, faults string }
+
+// viewCache is the daemon's table of topology instances. The route cache
+// keys its tables by instance and resets them all when too many appear, so
+// every request naming a topology or a fault mask must share one instance
+// of it. Views are read-only after construction, so concurrent requests
+// share them freely.
+type viewCache struct {
+	mu  sync.Mutex
+	own viewKey // the daemon's own topology, never evicted
+	m   map[viewKey]network.Topology
 }
 
-// view returns the shared masked view for (topoName, faults), building and
-// caching it on first use. Views are read-only after construction, so
-// concurrent requests with the same mask share one view and one route-cache
-// table.
-func (c *maskedViewCache) view(topoName string, topo network.Topology, faults *fault.Set) *fault.Masked {
-	key := topoName + "|" + faults.String()
+func newViewCache(own network.Topology) *viewCache {
+	k := viewKey{topo: own.Name()}
+	return &viewCache{own: k, m: map[viewKey]network.Topology{k: own}}
+}
+
+// named returns the shared instance of the topology a request names,
+// parsing spec only when the table holds no topology of that name.
+func (c *viewCache) named(spec string) (network.Topology, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m, ok := c.m[key]; ok {
+	if t, ok := c.m[viewKey{topo: spec}]; ok {
+		return t, nil
+	}
+	t, err := topology.Parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	k := viewKey{topo: t.Name()}
+	if shared, ok := c.m[k]; ok {
+		return shared, nil
+	}
+	c.insert(k, t)
+	return t, nil
+}
+
+// masked returns the shared masked view for (topoName, faults), building it
+// on first use.
+func (c *viewCache) masked(topoName string, topo network.Topology, faults *fault.Set) *fault.Masked {
+	k := viewKey{topoName, faults.String()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.m[k].(*fault.Masked); ok {
 		return m
 	}
-	if c.m == nil {
-		c.m = make(map[string]*fault.Masked, maxMaskedViews)
-	}
-	for len(c.m) >= maxMaskedViews { // rare: more live masks than the cap
-		for k, victim := range c.m {
-			network.InvalidateRoutes(victim)
-			delete(c.m, k)
-			break
+	m := fault.NewMasked(topo, faults)
+	c.insert(k, m)
+	return m
+}
+
+// insert adds a view, first evicting others (never the daemon's own) while
+// the table is full. Caller holds mu.
+func (c *viewCache) insert(k viewKey, t network.Topology) {
+	for len(c.m) > maxViews { // rare: more live views than the cap
+		for victimKey, victim := range c.m {
+			if victimKey != c.own {
+				network.InvalidateRoutes(victim)
+				delete(c.m, victimKey)
+				break
+			}
 		}
 	}
-	m := fault.NewMasked(topo, faults)
-	c.m[key] = m
-	return m
+	c.m[k] = t
 }
 
 type baseCandidate struct {
@@ -399,10 +436,10 @@ func (s *Server) resolvePhase(p *parsedRequest, reqs request.Set) (*schedule.Res
 // programs drive the surviving hardware correctly. Dynamic phases fall back
 // to the predetermined AAPC configuration set recomputed on the masked
 // topology. The masked view (and its route-cache table) is shared across
-// requests carrying the same fault mask via the bounded masked-view cache,
+// requests carrying the same fault mask via the bounded view table,
 // so a persistent failure is routed once, not once per request.
 func (s *Server) compileMasked(p *parsedRequest) (*core.CompiledProgram, error) {
-	masked := s.maskedViews.view(p.topoName, p.topo, p.faults)
+	masked := s.views.masked(p.topoName, p.topo, p.faults)
 	out := &core.CompiledProgram{Program: p.prog}
 	for _, ph := range p.prog.Phases {
 		if ph.Dynamic {

@@ -134,10 +134,15 @@ func TestCachePartitionIsolation(t *testing.T) {
 		}
 	}
 	// Bronze's entries are still cached: the flood evicted only gold keys.
+	// Their aliases survived with them, so every repeat is a digest hit.
 	for i, body := range victims {
+		before := metricsSnapshot(t, s).Cache.DigestHits
 		rec := postTraceTenant(s, "/compile", "bronze", body)
 		if !strings.Contains(rec.Body.String(), `"cache":"hit"`) {
 			t.Fatalf("victim %d not cached after flood: %s", i, rec.Body.String())
+		}
+		if after := metricsSnapshot(t, s).Cache.DigestHits; after != before+1 {
+			t.Fatalf("victim %d repeat was not a digest hit (%d -> %d)", i, before, after)
 		}
 	}
 

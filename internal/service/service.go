@@ -12,6 +12,9 @@
 //   - a content-addressed schedule cache, keyed by the canonical pattern
 //     hash of internal/request (normalized request list + topology +
 //     heuristic parameters), bounded LRU with hit/miss/eviction counters;
+//   - a request-digest alias on each cache entry, so a byte-identical
+//     repeat of a /compile or /recompile is answered without decoding it,
+//     its reply spliced from the stored bytes;
 //   - singleflight coalescing, so a thundering herd of identical requests
 //     shares exactly one pipeline invocation;
 //   - a bounded worker pool with queue-depth admission control — under
@@ -34,6 +37,7 @@ package service
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -57,7 +61,6 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -136,9 +139,9 @@ type Server struct {
 	deltaBound float64
 	reconfig   core.ReconfigCost
 
-	// maskedViews shares fault-masked topology views (and their route
-	// caches) across recompile requests with the same fault mask.
-	maskedViews maskedViewCache
+	// views shares topology instances (and their route caches) across
+	// requests naming the same topology or the same fault mask.
+	views *viewCache
 
 	// peersV holds the PeerResolver of the cluster layer (a *peerBox);
 	// nil means this daemon serves alone. Atomic because SetPeers races
@@ -246,6 +249,7 @@ func New(cfg Config) (*Server, error) {
 		flight:     newFlightGroup(),
 		metrics:    newMetricsState(),
 		bases:      newBaseIndex(),
+		views:      newViewCache(cfg.Topology),
 		deltaBound: cfg.DeltaBound,
 		reconfig:   cfg.Reconfig,
 	}
@@ -323,8 +327,10 @@ type parsedRequest struct {
 	forwarded bool
 }
 
-// parse validates the HTTP request into a parsedRequest.
-func (s *Server) parse(r *http.Request, w http.ResponseWriter, recompile bool) (*parsedRequest, error) {
+// parse validates the HTTP request into a parsedRequest. body and bodyErr
+// are the outcome of readBody; a body that failed to read is reported after
+// the query parameters are checked.
+func (s *Server) parse(r *http.Request, body []byte, bodyErr error, recompile bool) (*parsedRequest, error) {
 	q := r.URL.Query()
 	p := &parsedRequest{
 		topo:      s.topo,
@@ -337,7 +343,7 @@ func (s *Server) parse(r *http.Request, w http.ResponseWriter, recompile bool) (
 	p.class = s.qos.ClassOf(p.tenant)
 	pes := s.topoPEs
 	if name := q.Get("topology"); name != "" {
-		topo, err := topology.Parse(name)
+		topo, err := s.views.named(name)
 		if err != nil {
 			return nil, err
 		}
@@ -354,9 +360,8 @@ func (s *Server) parse(r *http.Request, w http.ResponseWriter, recompile bool) (
 	}
 	p.schedName = p.scheduler.Name()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, err
+	if bodyErr != nil {
+		return nil, bodyErr
 	}
 	p.body = body
 	doc, err := trace.Read(bytes.NewReader(body))
@@ -406,6 +411,36 @@ func (s *Server) parse(r *http.Request, w http.ResponseWriter, recompile bool) (
 	}
 	p.key = programKey(p.prog, doc.PEs, p.topoName, p.schedName, faultsParam)
 	return p, nil
+}
+
+// readBody reads a request body of at most maxBodyBytes into one buffer
+// sized from Content-Length when the client sent one.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // room for the read that reports EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// digestRequest hashes a raw /compile or /recompile request: the endpoint,
+// the raw query string and the body. That is everything parse reads that
+// can change the key or turn the request into a 400; the daemon's own
+// topology and scheduler are fixed for its lifetime. The tenant header is
+// left out: it changes billing, not the key.
+func digestRequest(endpoint, rawQuery string, body []byte) requestDigest {
+	hdr := make([]byte, 0, 16+len(endpoint)+len(rawQuery))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(endpoint)))
+	hdr = append(hdr, endpoint...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(rawQuery)))
+	hdr = append(hdr, rawQuery...)
+	h := sha256.New()
+	h.Write(hdr)
+	h.Write(body) // the last field runs to the end, so needs no length
+	var d requestDigest
+	h.Sum(d[:0])
+	return d
 }
 
 // canonicalProgram sorts every phase's messages by (src, dst, start, flits),
@@ -534,11 +569,26 @@ func (s *Server) ArtifactPut(key string, raw json.RawMessage) {
 // is served as a local hit from now on and counts against the owner's
 // quotas, not the default tenant's. Compilation is deterministic and keys
 // are content hashes, so a replicated artifact is byte-identical to what
-// this daemon would have compiled itself.
+// this daemon would have compiled itself — once canonicalArtifact has undone
+// any re-formatting on the way. Bytes that are not JSON are dropped.
 func (s *Server) ArtifactPutOwned(key, tenant string, raw json.RawMessage) {
+	raw, err := canonicalArtifact(raw)
+	if err != nil {
+		return
+	}
 	tenant = s.qos.Tenant(tenant)
 	s.cache.Add(key, tenant, raw)
 	s.storePutArtifact(key, tenant, raw)
+}
+
+// canonicalArtifact returns raw as encoding/json writes a RawMessage:
+// compact, with <, >, & and U+2028/U+2029 escaped. Artifacts compiled here
+// are json.Marshal output and already in this form; an artifact that enters
+// the cache from outside the process (a peer's forward reply, a gossip pull)
+// is put in it, so splicing any cached artifact into a reply (writeArtifact)
+// is byte-identical to encoding the envelope.
+func canonicalArtifact(raw json.RawMessage) (json.RawMessage, error) {
+	return json.Marshal(raw)
 }
 
 // tenantOfOwner maps a store owner tag back to a canonical tenant: the
@@ -582,7 +632,19 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, recompile 
 		return
 	}
 	start := time.Now()
-	p, err := s.parse(r, w, recompile)
+	body, bodyErr := readBody(w, r)
+	var digest requestDigest
+	if bodyErr == nil {
+		// A byte-identical repeat of a request that resolved before is
+		// answered from its alias: no decode, no sort, no key.
+		digest = digestRequest(endpoint, r.URL.RawQuery, body)
+		if key, raw, ok := s.cache.GetDigest(digest); ok {
+			s.metrics.observeSuccess(endpoint, s.qos.Tenant(r.Header.Get(qos.TenantHeader)), CacheHit, time.Since(start))
+			writeArtifact(w, key, CacheHit, raw)
+			return
+		}
+	}
+	p, err := s.parse(r, body, bodyErr, recompile)
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)
 		return
@@ -610,8 +672,9 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, recompile 
 		}
 		return
 	}
+	s.cache.Alias(p.key, digest)
 	s.metrics.observeSuccess(endpoint, p.tenant, state, time.Since(start))
-	writeJSON(w, http.StatusOK, Response{Key: p.key, Cache: state, Result: raw})
+	writeArtifact(w, p.key, state, raw)
 }
 
 // serve resolves a request to its artifact: the in-memory cache, then the
@@ -644,10 +707,12 @@ func (s *Server) serve(p *parsedRequest, build func() (json.RawMessage, error)) 
 		// worker-pool slot.
 		if peers := s.peers(); peers != nil && !p.forwarded {
 			if v, ok := peers.Resolve(PeerContext{Key: key, Tenant: p.tenant, Query: p.query, Body: p.body, Recompile: p.recompile}); ok {
-				peerHit = true
-				s.cache.Add(key, p.tenant, v)
-				s.storePutArtifact(key, p.tenant, v)
-				return v, nil
+				if v, err := canonicalArtifact(v); err == nil {
+					peerHit = true
+					s.cache.Add(key, p.tenant, v)
+					s.storePutArtifact(key, p.tenant, v)
+					return v, nil
+				}
 			}
 		}
 		type result struct {
@@ -806,6 +871,28 @@ func (s *Server) writeError(w http.ResponseWriter, endpoint string, status int, 
 func (s *Server) writeErrorClass(w http.ResponseWriter, endpoint, tenant string, status int, err error) {
 	s.metrics.observeFailure(endpoint, tenant, false)
 	writeJSON(w, status, ErrorBody{Error: err.Error()})
+}
+
+// writeArtifact writes a 200 /compile or /recompile reply by splicing the
+// cached artifact into the Response envelope. The bytes equal json.Encoder's
+// encoding of Response{key, state, raw}: key is a hex digest and state a
+// Cache* constant, so neither needs escaping, and every cached artifact is
+// canonical (see canonicalArtifact).
+func writeArtifact(w http.ResponseWriter, key, state string, raw json.RawMessage) {
+	head := make([]byte, 0, 40+len(key)+len(state))
+	head = append(head, `{"key":"`...)
+	head = append(head, key...)
+	head = append(head, `","cache":"`...)
+	head = append(head, state...)
+	head = append(head, `","result":`...)
+	const tail = "}\n"
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(raw)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(head)
+	_, _ = w.Write(raw)
+	_, _ = io.WriteString(w, tail)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -43,7 +43,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	p, err := s.parse(r, w, false)
+	body, bodyErr := readBody(w, r)
+	p, err := s.parse(r, body, bodyErr, false)
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)
 		return
