@@ -594,7 +594,7 @@ func main() {
 	// Fault-masked recompilation through the daemon, on the paper's p3m64
 	// trace with a single failed link: with a schedule store the daemon
 	// rebases the stored healthy schedules onto the mask (the delta path);
-	// without one every request runs fault.Recompile from scratch. Fresh
+	// without one every request schedules the masked view from scratch. Fresh
 	// program names defeat the artifact cache so each iteration really
 	// recompiles.
 	{

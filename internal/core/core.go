@@ -121,7 +121,7 @@ func (c Compiler) Compile(prog Program) (*CompiledProgram, error) {
 		used := false
 		if ph.Dynamic {
 			if fallback == nil {
-				fallback, err = c.fallbackSchedule()
+				fallback, err = Fallback(c.Topology)
 				if err != nil {
 					return nil, fmt.Errorf("core: phase %q: %w", ph.Name, err)
 				}
@@ -148,12 +148,12 @@ func (c Compiler) Compile(prog Program) (*CompiledProgram, error) {
 	return out, nil
 }
 
-// fallbackSchedule turns the topology's AAPC decomposition into a schedule
-// covering every possible connection: the predetermined configuration set
-// the paper proposes for patterns unknown at compile time. Every PE gets a
-// slot to reach every other PE.
-func (c Compiler) fallbackSchedule() (*schedule.Result, error) {
-	set, err := schedule.DecompositionFor(c.Topology)
+// Fallback turns a topology's AAPC decomposition into a schedule covering
+// every possible connection: the predetermined configuration set the paper
+// proposes for patterns unknown at compile time. Every PE gets a slot to
+// reach every other PE.
+func Fallback(t network.Topology) (*schedule.Result, error) {
+	set, err := schedule.DecompositionFor(t)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (c Compiler) fallbackSchedule() (*schedule.Result, error) {
 	}
 	return &schedule.Result{
 		Algorithm: "aapc-fallback",
-		Topology:  c.Topology,
+		Topology:  t,
 		Configs:   configs,
 		Slot:      slot,
 	}, nil

@@ -266,14 +266,18 @@ type StoreMetrics struct {
 	EvictionWrites uint64 `json:"eviction_writes"`
 }
 
-// DeltaMetrics reports the incremental recompiler's activity.
+// DeltaMetrics reports the incremental recompiler's activity. With a store,
+// every static phase the daemon resolves counts in exactly one of
+// ScheduleHits, Patched and Full; without one, none of them moves.
 type DeltaMetrics struct {
 	// Bound is the configured degree-quality gate.
 	Bound float64 `json:"bound"`
 	// ScheduleHits counts phases served verbatim from a stored schedule.
 	ScheduleHits uint64 `json:"schedule_hits"`
-	// Patched counts phases served by an accepted incremental patch;
-	// Full counts phases where delta fell back to a from-scratch compile.
+	// Patched counts phases served by an accepted incremental patch
+	// (including a stored base rebased onto a fault mask); Full counts
+	// phases scheduled from scratch, because no base was usable or its
+	// patch was rejected.
 	Patched uint64 `json:"patched"`
 	Full    uint64 `json:"full"`
 }

@@ -212,6 +212,27 @@ func TestRecompileWithFaultMask(t *testing.T) {
 	}
 }
 
+// TestRecompileCountsEveryPhase checks /metrics' delta block on a store
+// daemon: every static phase the resolver resolves counts exactly once,
+// including a /recompile phase with no stored base, which is scheduled on
+// the masked view in full.
+func TestRecompileCountsEveryPhase(t *testing.T) {
+	_, c := newTestServer(t, service.Config{StoreDir: t.TempDir()})
+	doc := p3mDoc(t)
+	doc.Phases = doc.Phases[:2]
+	ctx := context.Background()
+	if _, _, err := c.Recompile(ctx, doc, service.FaultMask{Links: []int{3}}, client.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := snap.Delta; d.Full != 2 || d.Patched != 0 || d.ScheduleHits != 0 {
+		t.Fatalf("delta metrics after recompiling two never-compiled phases = %+v, want full 2", d)
+	}
+}
+
 func TestRecompileDisconnected(t *testing.T) {
 	_, c := newTestServer(t, service.Config{})
 	doc := p3mDoc(t)

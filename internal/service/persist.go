@@ -2,18 +2,15 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/fault"
 	"repro/internal/network"
-	"repro/internal/optics"
 	"repro/internal/request"
 	"repro/internal/schedule"
 	"repro/internal/store"
-	"repro/internal/switchprog"
 	"repro/internal/topology"
 )
 
@@ -26,10 +23,9 @@ import (
 //     preloaded into the LRU at boot, so a restarted daemon serves
 //     byte-identical hits with zero pipeline invocations;
 //   - per-phase schedules are written under store.BaseKey as delta base
-//     material; /compile reuses an exact base verbatim or patches the
-//     nearest one, and /recompile rebases a healthy base onto the fault
-//     mask instead of running fault.Recompile from scratch — keeping the
-//     same switch-program lowering and light-trace verification.
+//     material; resolvePhase reuses an exact base verbatim or patches the
+//     nearest one, and rebases a healthy base onto a /recompile's fault
+//     mask instead of scheduling the masked view from scratch.
 
 // maxBaseCandidates bounds the per-topology candidate list of the
 // nearest-base index. Diffing a target against every candidate is linear in
@@ -210,15 +206,9 @@ func (b *baseIndex) nearest(topoName string, target request.Set, exclude string)
 	return bestKey, true
 }
 
-// storeGetArtifact reads a whole-program artifact back from the store.
-func (s *Server) storeGetArtifact(key string) (json.RawMessage, bool) {
-	raw, _, ok := s.storeGetArtifactOwned(key)
-	return raw, ok
-}
-
-// storeGetArtifactOwned is storeGetArtifact plus the entry's owner tag
-// ("" is the default tenant).
-func (s *Server) storeGetArtifactOwned(key string) (json.RawMessage, string, bool) {
+// storeGetArtifact reads a whole-program artifact back from the store,
+// with the entry's owner tag ("" is the default tenant).
+func (s *Server) storeGetArtifact(key string) (json.RawMessage, string, bool) {
 	if s.store == nil {
 		return nil, "", false
 	}
@@ -354,148 +344,51 @@ func (s *Server) saveBase(key, topoName string, res *schedule.Result, reqs reque
 	}
 }
 
-// compileHealthy compiles a program on the healthy topology. Without a
-// store it is exactly core.Compiler.Compile; with one, each static phase is
-// resolved through the store — exact stored schedule reused verbatim,
-// nearest stored base patched by the delta recompiler (full compile when
-// the patch misses the quality bound) — and written back as future base
-// material. Dynamic phases take the AAPC fallback either way.
-func (s *Server) compileHealthy(p *parsedRequest) (*core.CompiledProgram, error) {
+// resolvePhase resolves one phase's schedule on view — p.topo, or the
+// shared masked view of a /recompile's fault mask — and reports how: "hit"
+// (the stored schedule of exactly this pattern, reused verbatim), "patched"
+// (a stored base patched by the delta recompiler) or "miss" (scheduled in
+// full). It is the one place /compile, /recompile and /session decide:
+//
+//   - a dynamic phase takes the AAPC fallback of the view;
+//   - without a store, a static phase is scheduled from scratch;
+//   - with one, the exact stored base is reused (verbatim on p.topo,
+//     rebased by delta.Recompile onto a masked view), failing that the
+//     nearest other base is patched, failing that the phase is scheduled in
+//     full — and each outcome counts once in /metrics' delta block. Only
+//     p.topo results are saved as future bases: a mask is transient.
+func (s *Server) resolvePhase(p *parsedRequest, view network.Topology, ph core.Phase) (*schedule.Result, string, error) {
+	if ph.Dynamic {
+		res, err := core.Fallback(view)
+		return res, CacheMiss, err
+	}
+	reqs := ph.Requests()
 	if s.store == nil {
-		return core.Compiler{Topology: p.topo, Scheduler: p.scheduler}.Compile(p.prog)
+		res, err := p.scheduler.Schedule(view, reqs)
+		return res, CacheMiss, err
 	}
-	out := &core.CompiledProgram{Program: p.prog}
-	for _, ph := range p.prog.Phases {
-		if ph.Dynamic || len(ph.Messages) == 0 {
-			one, err := core.Compiler{Topology: p.topo, Scheduler: p.scheduler}.Compile(
-				core.Program{Name: p.prog.Name, Phases: []core.Phase{ph}})
-			if err != nil {
-				return nil, err
-			}
-			out.Phases = append(out.Phases, one.Phases[0])
-			continue
-		}
-		res, err := s.schedulePhase(p, ph.Requests())
-		if err != nil {
-			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
-		}
-		sp, err := switchprog.Compile(res)
-		if err != nil {
-			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
-		}
-		out.Phases = append(out.Phases, core.CompiledPhase{Phase: ph, Schedule: res, Program: sp})
-	}
-	return out, nil
-}
-
-// schedulePhase resolves one static phase's schedule through the store.
-func (s *Server) schedulePhase(p *parsedRequest, reqs request.Set) (*schedule.Result, error) {
-	res, _, err := s.resolvePhase(p, reqs)
-	return res, err
-}
-
-// resolvePhase resolves one static phase's schedule, reporting how: "hit"
-// (stored schedule of exactly this pattern reused verbatim), "patched"
-// (nearest stored base patched by the delta recompiler), or "miss" (full
-// compile — also the only path without a store). This is /compile's
-// per-phase store resolution and /session's recompile-candidate source.
-func (s *Server) resolvePhase(p *parsedRequest, reqs request.Set) (*schedule.Result, string, error) {
-	if s.store == nil {
-		res, err := p.scheduler.Schedule(p.topo, reqs)
-		if err != nil {
-			return nil, "", err
-		}
-		return res, CacheMiss, nil
-	}
+	healthy := view == p.topo
 	key := store.BaseKey(reqs, p.topoName, p.schedName)
-	if res := s.loadBase(key, p.topo, reqs); res != nil {
+	base := s.loadBase(key, p.topo, reqs)
+	if base != nil && healthy {
 		s.metrics.observeDelta(true, false)
-		return res, CacheHit, nil
+		return base, CacheHit, nil
 	}
-	var base *schedule.Result
-	if candKey, ok := s.bases.nearest(p.topoName, reqs, key); ok {
-		base = s.loadBase(candKey, p.topo, nil)
+	if base == nil {
+		if candKey, ok := s.bases.nearest(p.topoName, reqs, key); ok {
+			base = s.loadBase(candKey, p.topo, nil)
+		}
 	}
-	res, st, err := delta.Recompile(p.topo, base, reqs, delta.Options{Bound: s.deltaBound, Scheduler: p.scheduler})
+	res, st, err := delta.Recompile(view, base, reqs, delta.Options{Bound: s.deltaBound, Scheduler: p.scheduler})
 	if err != nil {
 		return nil, "", err
 	}
 	s.metrics.observeDelta(false, st.Patched)
-	s.saveBase(key, p.topoName, res, reqs)
+	if healthy {
+		s.saveBase(key, p.topoName, res, reqs)
+	}
 	if st.Patched {
 		return res, CachePatched, nil
 	}
 	return res, CacheMiss, nil
-}
-
-// compileMasked compiles a program against a fault-masked topology. Static
-// phases prefer the delta path — rebase a stored healthy schedule onto the
-// masked view — and fall back to fault.Recompile (scheduling on the masked
-// view from scratch) when no usable base exists. Both paths end in
-// switch-program lowering and light-trace verification that the degraded
-// programs drive the surviving hardware correctly. Dynamic phases fall back
-// to the predetermined AAPC configuration set recomputed on the masked
-// topology. The masked view (and its route-cache table) is shared across
-// requests carrying the same fault mask via the bounded view table,
-// so a persistent failure is routed once, not once per request.
-func (s *Server) compileMasked(p *parsedRequest) (*core.CompiledProgram, error) {
-	masked := s.views.masked(p.topoName, p.topo, p.faults)
-	out := &core.CompiledProgram{Program: p.prog}
-	for _, ph := range p.prog.Phases {
-		if ph.Dynamic {
-			one, err := core.Compiler{Topology: masked, Scheduler: p.scheduler}.Compile(
-				core.Program{Name: p.prog.Name, Phases: []core.Phase{ph}})
-			if err != nil {
-				return nil, err
-			}
-			out.Phases = append(out.Phases, one.Phases[0])
-			continue
-		}
-		reqs := ph.Requests()
-		if res, sp, ok := s.deltaMasked(masked, p, reqs); ok {
-			out.Phases = append(out.Phases, core.CompiledPhase{Phase: ph, Schedule: res, Program: sp})
-			continue
-		}
-		res, sp, err := fault.Recompile(masked, reqs, p.scheduler)
-		if err != nil {
-			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
-		}
-		out.Phases = append(out.Phases, core.CompiledPhase{Phase: ph, Schedule: res, Program: sp})
-	}
-	return out, nil
-}
-
-// deltaMasked serves one static phase of a fault-masked compile through the
-// incremental recompiler: the stored healthy schedule of the same pattern
-// (or the nearest stored base) is rebased onto the masked view — surviving
-// circuits keep their slots, broken ones detour — and the result is
-// accepted only after the same switch-program lowering and light-trace
-// verification fault.Recompile performs. Any miss or failure returns
-// ok=false and the caller runs the full recovery path.
-func (s *Server) deltaMasked(masked network.Topology, p *parsedRequest, reqs request.Set) (*schedule.Result, *switchprog.Program, bool) {
-	if s.store == nil {
-		return nil, nil, false
-	}
-	base := s.loadBase(store.BaseKey(reqs, p.topoName, p.schedName), p.topo, reqs)
-	if base == nil {
-		if candKey, ok := s.bases.nearest(p.topoName, reqs, ""); ok {
-			base = s.loadBase(candKey, p.topo, nil)
-		}
-	}
-	if base == nil {
-		return nil, nil, false
-	}
-	res, st, err := delta.Recompile(masked, base, reqs, delta.Options{Bound: s.deltaBound, Scheduler: p.scheduler})
-	if err != nil {
-		return nil, nil, false
-	}
-	prog, err := switchprog.Compile(res)
-	if err != nil {
-		return nil, nil, false
-	}
-	if _, err := optics.NewTracer(prog).VerifySchedule(res.Slot); err != nil {
-		return nil, nil, false
-	}
-	s.metrics.observeDelta(false, st.Patched)
-	return res, prog, true
 }

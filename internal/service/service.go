@@ -20,9 +20,11 @@
 //   - a bounded worker pool with queue-depth admission control — under
 //     overload the daemon answers 429 + Retry-After instead of queueing
 //     without limit;
-//   - /recompile, which applies an internal/fault mask and reuses
-//     fault.Recompile (including its light-trace verification) for
-//     degraded-network compilation;
+//   - /recompile, which compiles against an internal/fault-masked view of
+//     the topology, rebasing stored healthy schedules onto it;
+//   - one phase resolver (resolvePhase) behind /compile, /recompile and
+//     /session, and one verifier: every phase of an artifact is lowered to
+//     switch programs and light-traced before the artifact is cached;
 //   - /metrics (JSON counters + latency histograms via internal/stats) and
 //     optional net/http/pprof wiring.
 //
@@ -56,11 +58,13 @@ import (
 	"repro/internal/delta"
 	"repro/internal/fault"
 	"repro/internal/network"
+	"repro/internal/optics"
 	"repro/internal/qos"
 	"repro/internal/request"
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/switchprog"
 	"repro/internal/trace"
 )
 
@@ -536,21 +540,16 @@ func (s *Server) ArtifactKeys() []string {
 	return keys
 }
 
-// ArtifactGet returns a warm artifact — cache or store — and never
-// compiles. It backs the cluster's /peer/fetch endpoint.
-func (s *Server) ArtifactGet(key string) (json.RawMessage, bool) {
-	raw, _, ok := s.ArtifactGetOwned(key)
-	return raw, ok
-}
-
-// ArtifactGetOwned is ArtifactGet plus the tenant the artifact is billed
-// to, so the cluster fetch path can replicate ownership alongside content
-// and the receiving daemon bills the copy to the same class.
+// ArtifactGetOwned returns a warm artifact — cache or store — and never
+// compiles; it backs the cluster's /peer/fetch endpoint. It also returns the
+// tenant the artifact is billed to, so the cluster fetch path can replicate
+// ownership alongside content and the receiving daemon bills the copy to
+// the same class.
 func (s *Server) ArtifactGetOwned(key string) (json.RawMessage, string, bool) {
 	if v, tenant, ok := s.cache.GetOwned(key); ok {
 		return v, tenant, true
 	}
-	if v, owner, ok := s.storeGetArtifactOwned(key); ok {
+	if v, owner, ok := s.storeGetArtifact(key); ok {
 		tenant := s.tenantOfOwner(owner)
 		s.cache.Add(key, tenant, v)
 		return v, tenant, true
@@ -558,19 +557,13 @@ func (s *Server) ArtifactGetOwned(key string) (json.RawMessage, string, bool) {
 	return nil, "", false
 }
 
-// ArtifactPut installs an artifact fetched from a cluster peer into the
-// cache and (best-effort) the store, billed to the default tenant. See
-// ArtifactPutOwned.
-func (s *Server) ArtifactPut(key string, raw json.RawMessage) {
-	s.ArtifactPutOwned(key, "", raw)
-}
-
-// ArtifactPutOwned installs a replicated artifact billed to a tenant, so it
-// is served as a local hit from now on and counts against the owner's
-// quotas, not the default tenant's. Compilation is deterministic and keys
-// are content hashes, so a replicated artifact is byte-identical to what
-// this daemon would have compiled itself — once canonicalArtifact has undone
-// any re-formatting on the way. Bytes that are not JSON are dropped.
+// ArtifactPutOwned installs an artifact fetched from a cluster peer into the
+// cache and (best-effort) the store, billed to a tenant, so it is served as
+// a local hit from now on and counts against the owner's quotas, not the
+// default tenant's. Compilation is deterministic and keys are content
+// hashes, so a replicated artifact is byte-identical to what this daemon
+// would have compiled itself — once canonicalArtifact has undone any
+// re-formatting on the way. Bytes that are not JSON are dropped.
 func (s *Server) ArtifactPutOwned(key, tenant string, raw json.RawMessage) {
 	raw, err := canonicalArtifact(raw)
 	if err != nil {
@@ -653,22 +646,12 @@ func (s *Server) serveCompile(w http.ResponseWriter, r *http.Request, recompile 
 		return s.buildArtifact(p)
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			// The overloaded queue is the tenant's own class queue; the
-			// Retry-After hint is the class's too.
-			w.Header().Set("Retry-After", strconv.Itoa(int((p.class.RetryAfter+time.Second-1)/time.Second)))
-			s.metrics.observeFailure(endpoint, p.tenant, true)
-			writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: err.Error()})
-		case errors.Is(err, ErrDraining):
-			s.writeErrorClass(w, endpoint, p.tenant, http.StatusServiceUnavailable, err)
-		default:
-			var ce compileError
-			if errors.As(err, &ce) {
-				s.writeErrorClass(w, endpoint, p.tenant, http.StatusUnprocessableEntity, err)
-			} else {
-				s.writeErrorClass(w, endpoint, p.tenant, http.StatusInternalServerError, err)
+		if !s.rejected(w, endpoint, p, err) {
+			status := http.StatusInternalServerError
+			if errors.As(err, new(compileError)) {
+				status = http.StatusUnprocessableEntity
 			}
+			s.writeErrorClass(w, endpoint, p.tenant, status, err)
 		}
 		return
 	}
@@ -688,7 +671,7 @@ func (s *Server) serve(p *parsedRequest, build func() (json.RawMessage, error)) 
 	}
 	// An artifact evicted from memory — or compiled by a previous process —
 	// is a disk read, not a pipeline invocation.
-	if v, ok := s.storeGetArtifact(key); ok {
+	if v, _, ok := s.storeGetArtifact(key); ok {
 		s.cache.Add(key, p.tenant, v)
 		return v, CacheStore, nil
 	}
@@ -749,73 +732,79 @@ func (s *Server) serve(p *parsedRequest, build func() (json.RawMessage, error)) 
 }
 
 // buildArtifact runs the pipeline for a parsed request and marshals the
-// Result. This is the unit of work the cache, the singleflight group and
-// the worker pool all guard.
+// Result: every phase is resolved on one view (the topology, or its masked
+// view under a /recompile's fault mask), verified, simulated and rendered.
+// This is the unit of work the cache, the singleflight group and the worker
+// pool all guard.
 func (s *Server) buildArtifact(p *parsedRequest) (json.RawMessage, error) {
-	var cp *core.CompiledProgram
-	var err error
-	if p.faults == nil || p.faults.Empty() {
-		cp, err = s.compileHealthy(p)
-	} else {
-		cp, err = s.compileMasked(p)
+	view := p.topo
+	if p.mask != nil {
+		view = s.views.masked(p.topoName, p.topo, p.faults)
 	}
-	if err != nil {
-		return nil, compileError{err}
+	res := &Result{
+		Program:          p.prog.Name,
+		PEs:              p.doc.PEs,
+		Topology:         p.topoName,
+		Scheduler:        p.schedName,
+		Faults:           p.mask,
+		Reconfigurations: len(p.prog.Phases),
 	}
-	res, err := buildResult(cp, p.doc.PEs, p.topoName, p.schedName, p.mask)
-	if err != nil {
-		return nil, compileError{err}
+	for _, ph := range p.prog.Phases {
+		sched, slots, err := s.verifiedPhase(p, view, ph)
+		if err != nil {
+			return nil, compileError{fmt.Errorf("phase %q on %s: %w", ph.Name, view.Name(), err)}
+		}
+		// One simulation per phase covers both the prediction and the
+		// single-iteration program time: sum(rc.Cost(degree) + comm).
+		res.MaxDegree = max(res.MaxDegree, sched.Degree())
+		res.TotalSlots += core.DefaultReconfigCost.Cost(sched.Degree()) + slots
+		res.Phases = append(res.Phases, phaseResult(ph, sched, slots))
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
-	}
-	return raw, nil
+	return json.Marshal(res)
 }
 
-// buildResult renders a compiled program to the wire shape, predicting each
-// phase's communication time on its schedule and the total iteration time
-// including reconfiguration.
-func buildResult(cp *core.CompiledProgram, pes int, topoName, schedName string, mask *FaultMask) (*Result, error) {
-	res := &Result{
-		Program:          cp.Program.Name,
-		PEs:              pes,
-		Topology:         topoName,
-		Scheduler:        schedName,
-		Faults:           mask,
-		MaxDegree:        cp.MaxDegree(),
-		Reconfigurations: cp.Reconfigurations(),
+// verifiedPhase resolves one phase on view, lowers the schedule to switch
+// programs and traces light through them for every circuit — the one
+// verifier, so nothing enters the cache or store unchecked — and returns
+// it with its simulated communication time.
+func (s *Server) verifiedPhase(p *parsedRequest, view network.Topology, ph core.Phase) (*schedule.Result, int, error) {
+	res, _, err := s.resolvePhase(p, view, ph)
+	if err != nil {
+		return nil, 0, err
 	}
-	// One RunCompiled per phase covers both the per-phase prediction and the
-	// single-iteration program time: ProgramTime(1, rc) is exactly
-	// sum(rc.Cost(degree) + comm) whether or not the program is one phase.
-	total := 0
-	for i := range cp.Phases {
-		ph := &cp.Phases[i]
-		out, err := sim.RunCompiled(ph.Schedule, ph.Phase.Messages)
-		if err != nil {
-			return nil, fmt.Errorf("predicting phase %q: %w", ph.Phase.Name, err)
-		}
-		total += core.DefaultReconfigCost.Cost(ph.Degree()) + out.Time
-		configs := make([][]Pair, len(ph.Schedule.Configs))
-		for k, c := range ph.Schedule.Configs {
-			configs[k] = make([]Pair, len(c))
-			for j, q := range c {
-				configs[k][j] = Pair{int(q.Src), int(q.Dst)}
-			}
-		}
-		res.Phases = append(res.Phases, PhaseResult{
-			Name:           ph.Phase.Name,
-			Dynamic:        ph.Phase.Dynamic,
-			Fallback:       ph.UsedFallback,
-			Algorithm:      ph.Schedule.Algorithm,
-			Degree:         ph.Degree(),
-			PredictedSlots: out.Time,
-			Configs:        configs,
-		})
+	prog, err := switchprog.Compile(res)
+	if err != nil {
+		return nil, 0, err
 	}
-	res.TotalSlots = total
-	return res, nil
+	if _, err := optics.NewTracer(prog).VerifySchedule(res.Slot); err != nil {
+		return nil, 0, err
+	}
+	out, err := sim.RunCompiled(res, ph.Messages)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, out.Time, nil
+}
+
+// phaseResult renders one served phase to the wire shape; slots is its
+// predicted communication time.
+func phaseResult(ph core.Phase, res *schedule.Result, slots int) PhaseResult {
+	configs := make([][]Pair, len(res.Configs))
+	for k, c := range res.Configs {
+		configs[k] = make([]Pair, len(c))
+		for j, q := range c {
+			configs[k][j] = Pair{int(q.Src), int(q.Dst)}
+		}
+	}
+	return PhaseResult{
+		Name:           ph.Name,
+		Dynamic:        ph.Dynamic,
+		Fallback:       ph.Dynamic,
+		Algorithm:      res.Algorithm,
+		Degree:         res.Degree(),
+		PredictedSlots: slots,
+		Configs:        configs,
+	}
 }
 
 // handleMetrics serves GET /metrics.
@@ -861,6 +850,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, `{"status":"ok"}`)
+}
+
+// rejected answers err if it is the worker pool turning a request away —
+// 429 with the tenant class's own Retry-After when its queue is full, 503
+// while the daemon drains — and reports whether it was.
+func (s *Server) rejected(w http.ResponseWriter, endpoint string, p *parsedRequest, err error) bool {
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		w.Header().Set("Retry-After", strconv.Itoa(int((p.class.RetryAfter+time.Second-1)/time.Second)))
+		s.metrics.observeFailure(endpoint, p.tenant, true)
+		writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: err.Error()})
+	case errors.Is(err, ErrDraining):
+		s.writeErrorClass(w, endpoint, p.tenant, http.StatusServiceUnavailable, err)
+	default:
+		return false
+	}
+	return true
 }
 
 func (s *Server) writeError(w http.ResponseWriter, endpoint string, status int, err error) {

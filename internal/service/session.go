@@ -2,10 +2,8 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -64,14 +62,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		defer close(ch)
 		s.runSession(p, ch, &flushed)
 	}); err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			w.Header().Set("Retry-After", strconv.Itoa(int((p.class.RetryAfter+time.Second-1)/time.Second)))
-			s.metrics.observeFailure(endpoint, p.tenant, true)
-			writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: err.Error()})
-		default:
-			s.writeErrorClass(w, endpoint, p.tenant, http.StatusServiceUnavailable, err)
-		}
+		s.rejected(w, endpoint, p, err)
 		return
 	}
 
@@ -166,9 +157,9 @@ func (s *Server) runSession(p *parsedRequest, ch chan<- sessionMsg, flushed *ato
 			if s.compileHook != nil {
 				s.compileHook(p.key)
 			}
-			scratch, state, err := s.resolveSessionPhase(p, ph)
+			scratch, state, err := s.resolvePhase(p, p.topo, ph)
 			if err != nil {
-				emit(SessionChunk{}, compileError{fmt.Errorf("phase %q: %w", ph.Name, err)})
+				emit(SessionChunk{}, compileError{fmt.Errorf("phase %q on %s: %w", ph.Name, p.topoName, err)})
 				return
 			}
 			cacheState = state
@@ -201,13 +192,7 @@ func (s *Server) runSession(p *parsedRequest, ch chan<- sessionMsg, flushed *ato
 		totalSlots += ev.Stall + ev.Comm
 		serializedSlots += ev.SerializedStall + ev.Comm
 		baselineSlots += ev.Baseline
-		configs := make([][]Pair, len(ev.Schedule.Configs))
-		for k, c := range ev.Schedule.Configs {
-			configs[k] = make([]Pair, len(c))
-			for j, q := range c {
-				configs[k][j] = Pair{int(q.Src), int(q.Dst)}
-			}
-		}
+		res := phaseResult(ph, ev.Schedule, ev.Comm)
 		emit(SessionChunk{
 			Type:            SessionChunkPhase,
 			Index:           i,
@@ -216,15 +201,7 @@ func (s *Server) runSession(p *parsedRequest, ch chan<- sessionMsg, flushed *ato
 			Stall:           ev.Stall,
 			Hidden:          ev.Hidden,
 			SerializedStall: ev.SerializedStall,
-			Result: &PhaseResult{
-				Name:           ph.Name,
-				Dynamic:        ph.Dynamic,
-				Fallback:       ph.Dynamic,
-				Algorithm:      ev.Schedule.Algorithm,
-				Degree:         ev.Schedule.Degree(),
-				PredictedSlots: ev.Comm,
-				Configs:        configs,
-			},
+			Result:          &res,
 		}, nil)
 		prev, prevComm = ev.Schedule, ev.Comm
 	}
@@ -237,19 +214,4 @@ func (s *Server) runSession(p *parsedRequest, ch chan<- sessionMsg, flushed *ato
 		PipelinedCompiles: pipelined,
 		Decisions:         decisions,
 	}, nil)
-}
-
-// resolveSessionPhase produces the recompile candidate for one phase:
-// dynamic phases take the AAPC fallback, static ones resolve through the
-// store (exact stored schedule, nearest-base patch, full compile).
-func (s *Server) resolveSessionPhase(p *parsedRequest, ph core.Phase) (*schedule.Result, string, error) {
-	if ph.Dynamic {
-		one, err := core.Compiler{Topology: p.topo, Scheduler: p.scheduler}.Compile(
-			core.Program{Name: p.prog.Name, Phases: []core.Phase{ph}})
-		if err != nil {
-			return nil, "", err
-		}
-		return one.Phases[0].Schedule, CacheMiss, nil
-	}
-	return s.resolvePhase(p, ph.Requests())
 }
