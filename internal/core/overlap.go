@@ -53,8 +53,9 @@ type BoundaryEval struct {
 // communication.
 func (b BoundaryEval) Slots() int { return b.Stall + b.Comm }
 
-// evalCandidate prices one candidate schedule for a boundary.
-func evalCandidate(engine *sim.CompiledSim, prev *schedule.Result, prevComm int, cand *schedule.Result, msgs []sim.Message, rc ReconfigCost) (BoundaryEval, error) {
+// evalCandidate prices one candidate schedule for a boundary; engine and
+// out are scratch shared by a boundary's candidates.
+func evalCandidate(engine *sim.CompiledSim, out *sim.CompiledResult, prev *schedule.Result, prevComm int, cand *schedule.Result, msgs []sim.Message, rc ReconfigCost) (BoundaryEval, error) {
 	load, err := sim.RegisterDelta(prev, cand)
 	if err != nil {
 		return BoundaryEval{}, err
@@ -63,8 +64,7 @@ func evalCandidate(engine *sim.CompiledSim, prev *schedule.Result, prevComm int,
 	if err != nil {
 		return BoundaryEval{}, err
 	}
-	var out sim.CompiledResult
-	if err := engine.RunInto(cand, msgs, sim.TDM, &out); err != nil {
+	if err := engine.RunInto(cand, msgs, sim.TDM, out); err != nil {
 		return BoundaryEval{}, err
 	}
 	return BoundaryEval{
@@ -137,7 +137,8 @@ func ChooseFrom(prev *schedule.Result, prevComm int, msgs []sim.Message, scratch
 		return BoundaryEval{}, fmt.Errorf("core: ChooseSchedule: phase has no messages")
 	}
 	engine := sim.NewCompiledSim()
-	recomp, err := evalCandidate(engine, prev, prevComm, scratch, msgs, rc)
+	var out sim.CompiledResult
+	recomp, err := evalCandidate(engine, &out, prev, prevComm, scratch, msgs, rc)
 	if err != nil {
 		return BoundaryEval{}, fmt.Errorf("core: pricing recompile: %w", err)
 	}
@@ -149,7 +150,7 @@ func ChooseFrom(prev *schedule.Result, prevComm int, msgs []sim.Message, scratch
 	}
 	best := recomp
 	if patched != nil {
-		pe, err := evalCandidate(engine, prev, prevComm, patched, msgs, rc)
+		pe, err := evalCandidate(engine, &out, prev, prevComm, patched, msgs, rc)
 		if err != nil {
 			return BoundaryEval{}, fmt.Errorf("core: pricing patch: %w", err)
 		}
@@ -159,7 +160,7 @@ func ChooseFrom(prev *schedule.Result, prevComm int, msgs []sim.Message, scratch
 		}
 	}
 	if covers(prev, msgs) {
-		ke, err := evalCandidate(engine, prev, prevComm, prev, msgs, rc)
+		ke, err := evalCandidate(engine, &out, prev, prevComm, prev, msgs, rc)
 		if err != nil {
 			return BoundaryEval{}, fmt.Errorf("core: pricing keep: %w", err)
 		}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -334,7 +336,40 @@ func TestBadRequests(t *testing.T) {
 	if code := post("/recompile?links=1,,2", valid); code != http.StatusBadRequest {
 		t.Fatalf("malformed link list -> %d, want 400", code)
 	}
-	resp, err := http.Get(ts.URL + "/compile")
+	// A message starting at the compiled engine's 1<<40-slot cap is
+	// refused with 422, at once: a slot-stepping simulator would walk
+	// 1.1e12 slots before answering.
+	begin := time.Now()
+	for _, path := range []string{"/compile", "/recompile?links=3"} {
+		if code := post(path, oneMessageAt(1<<40)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s with start 1<<40 -> %d, want 422", path, code)
+		}
+	}
+	if d := time.Since(begin); d > time.Second {
+		t.Fatalf("capped starts answered in %v, want under 1s", d)
+	}
+	// Just under the cap the closed form prices the message exactly: the
+	// lone circuit is degree 1, so it is delivered one slot after it
+	// starts.
+	under := 1<<40 - 1000
+	resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(oneMessageAt(under)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env service.Response
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("start %d -> %d (decode err %v), want 200", under, resp.StatusCode, err)
+	}
+	var res service.Result
+	if err := json.Unmarshal(env.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Phases[0].PredictedSlots; got != under+1 {
+		t.Fatalf("start %d: predicted_slots %d, want %d", under, got, under+1)
+	}
+	resp, err = http.Get(ts.URL + "/compile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,6 +385,12 @@ func TestBadRequests(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz -> %d", hz.StatusCode)
 	}
+}
+
+// oneMessageAt is a one-phase, one-message 64-PE program whose message
+// starts at slot start.
+func oneMessageAt(start int) string {
+	return fmt.Sprintf(`{"name":"late","pes":64,"phases":[{"name":"p","messages":[{"src":0,"dst":1,"flits":1,"start":%d}]}]}`, start)
 }
 
 func TestPprofWiring(t *testing.T) {

@@ -2,11 +2,13 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/collective"
 	"repro/internal/core"
@@ -284,5 +286,45 @@ func TestSessionBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed /session body -> %d, want 400", resp.StatusCode)
+	}
+
+	// A message starting at the compiled engine's 1<<40-slot cap ends the
+	// stream with an error chunk, at once; just under the cap the phase is
+	// priced exactly (degree 1: delivered one slot after it starts).
+	stream := func(start int) []service.SessionChunk {
+		resp, err := http.Post(ts.URL+"/session", "application/json", strings.NewReader(oneMessageAt(start)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("start %d: /session -> %d, want 200", start, resp.StatusCode)
+		}
+		var chunks []service.SessionChunk
+		dec := json.NewDecoder(resp.Body)
+		for dec.More() {
+			var c service.SessionChunk
+			if err := dec.Decode(&c); err != nil {
+				t.Fatal(err)
+			}
+			chunks = append(chunks, c)
+		}
+		return chunks
+	}
+	begin := time.Now()
+	chunks := stream(1 << 40)
+	if d := time.Since(begin); d > time.Second {
+		t.Fatalf("capped start answered in %v, want under 1s", d)
+	}
+	if last := chunks[len(chunks)-1]; last.Type != service.SessionChunkError || last.Error == "" {
+		t.Fatalf("start 1<<40: last chunk %+v, want an error chunk", last)
+	}
+	under := 1<<40 - 1000
+	chunks = stream(under)
+	if len(chunks) != 3 || chunks[1].Type != service.SessionChunkPhase || chunks[2].Type != service.SessionChunkDone {
+		t.Fatalf("start %d: chunks %+v, want header, phase, done", under, chunks)
+	}
+	if got := chunks[1].Result.PredictedSlots; got != under+1 {
+		t.Fatalf("start %d: predicted_slots %d, want %d", under, got, under+1)
 	}
 }
