@@ -257,8 +257,8 @@ func (n *Node) forward(peer string, pc service.PeerContext) (json.RawMessage, er
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: %s answered %d: %s", u, resp.StatusCode, truncate(body))
 	}
-	var envelope service.Response
-	if err := json.Unmarshal(body, &envelope); err != nil {
+	envelope, _, err := service.DecodeResponse(body)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding %s reply: %w", u, err)
 	}
 	if envelope.Key != pc.Key {

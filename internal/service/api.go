@@ -3,8 +3,10 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"strconv"
+	"fmt"
+	"sync"
 
+	"repro/internal/jsonwire"
 	"repro/internal/stats"
 )
 
@@ -19,67 +21,41 @@ type Pair [2]int
 
 var errPair = errors.New("service: a pair must be [int,int]")
 
-// UnmarshalJSON decodes exactly [src,dst] without reflection — the configs
-// are most of a reply, so decoding them is most of a client's work on a
-// warm hit. It accepts JSON whitespace around every token and rejects
-// anything but two integers in int's range; null is a no-op, as
+// UnmarshalJSON decodes exactly [src,dst] without reflection, by the rules
+// DecodeResponse parses configs with: JSON whitespace around every token,
+// two integers in int's range and nothing else; null is a no-op, as
 // encoding/json treats it for an array.
 func (p *Pair) UnmarshalJSON(b []byte) error {
-	i := skipSpace(b, 0)
-	if len(b)-i >= 4 && string(b[i:i+4]) == "null" {
-		if skipSpace(b, i+4) != len(b) {
-			return errPair
-		}
-		return nil
-	}
-	if i >= len(b) || b[i] != '[' {
-		return errPair
-	}
-	var v Pair
-	for k, end := range [2]byte{',', ']'} {
-		n, next, ok := parseInt(b, skipSpace(b, i+1))
-		if !ok {
-			return errPair
-		}
-		i = skipSpace(b, next)
-		if i >= len(b) || b[i] != end {
-			return errPair
-		}
-		v[k] = n
-	}
-	if skipSpace(b, i+1) != len(b) {
+	d := jsonwire.NewDecoder(b)
+	v := *p
+	if decodePair(&d, &v) != nil || d.End() != nil {
 		return errPair
 	}
 	*p = v
 	return nil
 }
 
-// skipSpace returns the index of the first non-whitespace byte of b at or
-// after i (JSON whitespace: space, tab, newline, carriage return).
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
+func decodePair(d *jsonwire.Decoder, p *Pair) error {
+	if d.Null() {
+		return nil
 	}
-	return i
-}
-
-// parseInt parses the JSON integer starting at b[i] (an optional minus,
-// then 0 or digits without a leading zero) and returns it with the index
-// after it; ok is false for anything else or a value outside int.
-func parseInt(b []byte, i int) (n, next int, ok bool) {
-	j := i
-	if j < len(b) && b[j] == '-' {
-		j++
+	if err := d.Array(); err != nil {
+		return err
 	}
-	digits := j
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		j++
+	for k := range p {
+		if ok, err := d.Elem(k); err != nil || !ok {
+			return errPair
+		}
+		n, err := d.Int()
+		if err != nil {
+			return err
+		}
+		p[k] = n
 	}
-	if j == digits || (b[digits] == '0' && j-digits > 1) {
-		return 0, 0, false
+	if more, err := d.Elem(2); err != nil || more {
+		return errPair
 	}
-	v, err := strconv.ParseInt(string(b[i:j]), 10, 0)
-	return int(v), j, err == nil
+	return nil
 }
 
 // PhaseResult is the compiled artifact of one phase.
@@ -211,6 +187,305 @@ const (
 // patching the nearest stored base (the other states reuse the Response
 // constants).
 const CachePatched = "patched"
+
+// The JSON names of each type's fields, in field order.
+var (
+	responseFields    = jsonwire.NewFields("key", "cache", "result")
+	resultFields      = jsonwire.NewFields("program", "pes", "topology", "scheduler", "faults", "max_degree", "reconfigurations", "total_slots", "phases")
+	phaseResultFields = jsonwire.NewFields("name", "dynamic", "fallback", "algorithm", "degree", "predicted_slots", "configs")
+	faultMaskFields   = jsonwire.NewFields("links", "nodes")
+	chunkFields       = jsonwire.NewFields("type", "key", "program", "pes", "topology", "scheduler", "phases",
+		"index", "decision", "cache", "stall", "hidden", "serialized_stall", "result",
+		"total_slots", "serialized_slots", "baseline_slots", "reconfigurations", "pipelined_compiles", "decisions", "error")
+)
+
+// configScratch holds the buffers a phase's configs decode through before
+// they are copied into one backing array.
+type configScratch struct {
+	pairs []Pair
+	ends  []int // per config, its end in pairs; -1 for null
+}
+
+var configPool = sync.Pool{New: func() any { return new(configScratch) }}
+
+// DecodeResponse decodes a /compile or /recompile reply and its result in
+// one pass. It accepts, and produces, what json.Unmarshal into a Response
+// and then of its Result into a Result would: unknown fields are skipped,
+// and only the last "result" is decoded. Response.Result is the result's
+// exact bytes and aliases data.
+func DecodeResponse(data []byte) (Response, Result, error) {
+	d := jsonwire.NewDecoder(data)
+	sc := configPool.Get().(*configScratch)
+	defer configPool.Put(sc)
+	var resp Response
+	var res Result
+	var resErr error
+	err := d.Struct(&responseFields, func(i int, _ []byte) error {
+		switch i {
+		case 0:
+			return d.StringInto(&resp.Key)
+		case 1:
+			return d.StringInto(&resp.Cache)
+		case 2:
+			// A result that does not decode fails the reply only if no
+			// later "result" replaces it, but bad syntax fails it at once.
+			m := d.Mark()
+			res = Result{}
+			if resErr = decodeResult(&d, &res, sc); resErr != nil {
+				d.Rewind(m)
+				if err := d.Skip(); err != nil {
+					return err
+				}
+			}
+			resp.Result = d.Since(m)
+			return nil
+		}
+		return d.Skip()
+	})
+	if err == nil {
+		err = d.End()
+	}
+	if err == nil && resp.Result == nil {
+		err = errors.New("no result")
+	}
+	if err == nil {
+		err = resErr
+	}
+	if err != nil {
+		return Response{}, Result{}, fmt.Errorf("service: decoding response: %w", err)
+	}
+	return resp, res, nil
+}
+
+// DecodeSessionChunk decodes one line of a /session stream as
+// json.Unmarshal into a SessionChunk would.
+func DecodeSessionChunk(line []byte) (SessionChunk, error) {
+	d := jsonwire.NewDecoder(line)
+	sc := configPool.Get().(*configScratch)
+	defer configPool.Put(sc)
+	var c SessionChunk
+	err := d.Struct(&chunkFields, func(i int, _ []byte) error {
+		switch i {
+		case 0:
+			return d.StringInto(&c.Type)
+		case 1:
+			return d.StringInto(&c.Key)
+		case 2:
+			return d.StringInto(&c.Program)
+		case 3:
+			return d.IntInto(&c.PEs)
+		case 4:
+			return d.StringInto(&c.Topology)
+		case 5:
+			return d.StringInto(&c.Scheduler)
+		case 6:
+			return d.IntInto(&c.Phases)
+		case 7:
+			return d.IntInto(&c.Index)
+		case 8:
+			return d.StringInto(&c.Decision)
+		case 9:
+			return d.StringInto(&c.Cache)
+		case 10:
+			return d.IntInto(&c.Stall)
+		case 11:
+			return d.IntInto(&c.Hidden)
+		case 12:
+			return d.IntInto(&c.SerializedStall)
+		case 13:
+			if d.Null() {
+				c.Result = nil
+				return nil
+			}
+			if c.Result == nil {
+				c.Result = new(PhaseResult)
+			}
+			return decodePhaseResult(&d, c.Result, sc)
+		case 14:
+			return d.IntInto(&c.TotalSlots)
+		case 15:
+			return d.IntInto(&c.SerializedSlots)
+		case 16:
+			return d.IntInto(&c.BaselineSlots)
+		case 17:
+			return d.IntInto(&c.Reconfigurations)
+		case 18:
+			return d.IntInto(&c.PipelinedCompiles)
+		case 19:
+			return decodeCounts(&d, &c.Decisions)
+		case 20:
+			return d.StringInto(&c.Error)
+		}
+		return d.Skip()
+	})
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
+		return SessionChunk{}, fmt.Errorf("service: decoding session chunk: %w", err)
+	}
+	return c, nil
+}
+
+func decodeResult(d *jsonwire.Decoder, r *Result, sc *configScratch) error {
+	return d.Struct(&resultFields, func(i int, _ []byte) error {
+		switch i {
+		case 0:
+			return d.StringInto(&r.Program)
+		case 1:
+			return d.IntInto(&r.PEs)
+		case 2:
+			return d.StringInto(&r.Topology)
+		case 3:
+			return d.StringInto(&r.Scheduler)
+		case 4:
+			if d.Null() {
+				r.Faults = nil
+				return nil
+			}
+			if r.Faults == nil {
+				r.Faults = new(FaultMask)
+			}
+			return decodeFaultMask(d, r.Faults)
+		case 5:
+			return d.IntInto(&r.MaxDegree)
+		case 6:
+			return d.IntInto(&r.Reconfigurations)
+		case 7:
+			return d.IntInto(&r.TotalSlots)
+		case 8:
+			return jsonwire.Slice(d, &r.Phases, nil, func(d *jsonwire.Decoder, ph *PhaseResult) error {
+				return decodePhaseResult(d, ph, sc)
+			})
+		}
+		return d.Skip()
+	})
+}
+
+func decodeFaultMask(d *jsonwire.Decoder, m *FaultMask) error {
+	return d.Struct(&faultMaskFields, func(i int, _ []byte) error {
+		switch i {
+		case 0:
+			return jsonwire.Slice(d, &m.Links, nil, (*jsonwire.Decoder).IntInto)
+		case 1:
+			return jsonwire.Slice(d, &m.Nodes, nil, (*jsonwire.Decoder).IntInto)
+		}
+		return d.Skip()
+	})
+}
+
+func decodePhaseResult(d *jsonwire.Decoder, ph *PhaseResult, sc *configScratch) error {
+	return d.Struct(&phaseResultFields, func(i int, _ []byte) error {
+		switch i {
+		case 0:
+			return d.StringInto(&ph.Name)
+		case 1:
+			return d.BoolInto(&ph.Dynamic)
+		case 2:
+			return d.BoolInto(&ph.Fallback)
+		case 3:
+			return d.StringInto(&ph.Algorithm)
+		case 4:
+			return d.IntInto(&ph.Degree)
+		case 5:
+			return d.IntInto(&ph.PredictedSlots)
+		case 6:
+			return decodeConfigs(d, &ph.Configs, sc)
+		}
+		return d.Skip()
+	})
+}
+
+// decodeConfigs reads a phase's configs into one backing array of pairs,
+// each config a capped window of it, so an append to one config
+// reallocates instead of overwriting the next. A repeated "configs" key
+// decodes over the first, element by element, as encoding/json's does.
+func decodeConfigs(d *jsonwire.Decoder, cfgs *[][]Pair, sc *configScratch) error {
+	if *cfgs != nil {
+		return jsonwire.Slice(d, cfgs, nil, func(d *jsonwire.Decoder, c *[]Pair) error {
+			return jsonwire.Slice(d, c, nil, decodePair)
+		})
+	}
+	if d.Null() {
+		return nil
+	}
+	if err := d.Array(); err != nil {
+		return err
+	}
+	pairs, ends := sc.pairs[:0], sc.ends[:0]
+	for n := 0; ; n++ {
+		ok, err := d.Elem(n)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if d.Null() {
+			ends = append(ends, -1)
+			continue
+		}
+		if err := d.Array(); err != nil {
+			return err
+		}
+		for m := 0; ; m++ {
+			ok, err := d.Elem(m)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			pairs = append(pairs, Pair{})
+			if err := decodePair(d, &pairs[len(pairs)-1]); err != nil {
+				return err
+			}
+		}
+		ends = append(ends, len(pairs))
+	}
+	sc.pairs, sc.ends = pairs, ends
+	out := make([][]Pair, len(ends))
+	backing := append([]Pair(nil), pairs...)
+	a := 0
+	for k, e := range ends {
+		switch {
+		case e < 0: // null
+		case e == a:
+			out[k] = []Pair{}
+		default:
+			out[k] = backing[a:e:e]
+			a = e
+		}
+	}
+	*cfgs = out
+	return nil
+}
+
+// decodeCounts reads an object of integers into a map, merging into the
+// map already there as encoding/json does.
+func decodeCounts(d *jsonwire.Decoder, m *map[string]int) error {
+	if d.Null() {
+		*m = nil
+		return nil
+	}
+	if err := d.Object(); err != nil {
+		return err
+	}
+	if *m == nil {
+		*m = make(map[string]int)
+	}
+	for n := 0; ; n++ {
+		key, ok, err := d.Member(n)
+		if err != nil || !ok {
+			return err
+		}
+		k, v := string(key), 0
+		if err := d.IntInto(&v); err != nil {
+			return err
+		}
+		(*m)[k] = v
+	}
+}
 
 // ErrorBody is the JSON shape of every non-2xx reply.
 type ErrorBody struct {

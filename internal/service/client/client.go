@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -89,10 +90,7 @@ func (c *Client) Recompile(ctx context.Context, doc trace.Document, mask service
 func (c *Client) post(ctx context.Context, path string, doc trace.Document, opt Options, mask *service.FaultMask) (*service.Response, *service.Result, error) {
 	// Compact encoding: trace.Write's indentation is for humans reading
 	// files; on the wire it only inflates the body the server has to scan.
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(doc); err != nil {
-		return nil, nil, fmt.Errorf("client: encode trace: %w", err)
-	}
+	body := trace.AppendJSON(nil, doc)
 	q := url.Values{}
 	if opt.Topology != "" {
 		q.Set("topology", opt.Topology)
@@ -112,7 +110,7 @@ func (c *Client) post(ctx context.Context, path string, doc trace.Document, opt 
 	if enc := q.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,22 +123,33 @@ func (c *Client) post(ctx context.Context, path string, doc trace.Document, opt 
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	data, err := readReply(resp)
 	if err != nil {
 		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, decodeError(resp, data)
 	}
-	var envelope service.Response
-	if err := json.Unmarshal(data, &envelope); err != nil {
-		return nil, nil, fmt.Errorf("service: decoding response: %w", err)
-	}
-	var result service.Result
-	if err := json.Unmarshal(envelope.Result, &result); err != nil {
-		return nil, nil, fmt.Errorf("service: decoding result: %w", err)
+	// envelope.Result aliases data, which is therefore never reused.
+	envelope, result, err := service.DecodeResponse(data)
+	if err != nil {
+		return nil, nil, err
 	}
 	return &envelope, &result, nil
+}
+
+// maxReply bounds a reply body.
+const maxReply = 256 << 20
+
+// readReply reads a reply body of at most maxReply bytes, in one
+// allocation when the server sent its length.
+func readReply(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxReply {
+		buf.Grow(int(n) + bytes.MinRead) // room for the read that reports EOF
+	}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, maxReply))
+	return buf.Bytes(), err
 }
 
 // SessionResult is a fully drained /session stream.
@@ -167,10 +176,7 @@ func (r *SessionResult) Decisions() map[string]int {
 // before the stream has finished — which is how a caller observes the
 // pipelining rather than just its result.
 func (c *Client) Session(ctx context.Context, doc trace.Document, opt Options, onPhase func(service.SessionChunk)) (*SessionResult, error) {
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(doc); err != nil {
-		return nil, fmt.Errorf("client: encode trace: %w", err)
-	}
+	body := trace.AppendJSON(nil, doc)
 	q := url.Values{}
 	if opt.Topology != "" {
 		q.Set("topology", opt.Topology)
@@ -182,7 +188,7 @@ func (c *Client) Session(ctx context.Context, doc trace.Document, opt Options, o
 	if enc := q.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, &body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -200,14 +206,18 @@ func (c *Client) Session(ctx context.Context, doc trace.Document, opt Options, o
 		return nil, decodeError(resp, data)
 	}
 	out := &SessionResult{}
-	dec := json.NewDecoder(resp.Body)
+	// The server writes one chunk a line. Each is decoded, and a phase
+	// handed to onPhase, before the next line is read.
+	lines := bufio.NewScanner(resp.Body)
+	lines.Buffer(nil, maxReply)
 	sawDone := false
-	for {
-		var chunk service.SessionChunk
-		if err := dec.Decode(&chunk); err != nil {
-			if err == io.EOF {
-				break
-			}
+	for lines.Scan() {
+		line := lines.Bytes()
+		if len(bytes.TrimLeft(line, " \t\r\n")) == 0 {
+			continue // whitespace between values, as a JSON stream allows
+		}
+		chunk, err := service.DecodeSessionChunk(line)
+		if err != nil {
 			return nil, fmt.Errorf("service: decoding session stream: %w", err)
 		}
 		switch chunk.Type {
@@ -226,6 +236,9 @@ func (c *Client) Session(ctx context.Context, doc trace.Document, opt Options, o
 		default:
 			return nil, fmt.Errorf("service: unknown session chunk type %q", chunk.Type)
 		}
+	}
+	if err := lines.Err(); err != nil {
+		return nil, fmt.Errorf("service: reading session stream: %w", err)
 	}
 	if !sawDone {
 		return nil, fmt.Errorf("service: session stream ended without a done chunk")

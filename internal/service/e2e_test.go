@@ -336,6 +336,15 @@ func TestBadRequests(t *testing.T) {
 	if code := post("/recompile?links=1,,2", valid); code != http.StatusBadRequest {
 		t.Fatalf("malformed link list -> %d, want 400", code)
 	}
+	// Data after the document is an error, not ignored: a second document
+	// or stray bytes would otherwise be answered for the first alone.
+	for _, path := range []string{"/compile", "/recompile?links=3"} {
+		for _, tail := range []string{valid, "garbage"} {
+			if code := post(path, valid+tail); code != http.StatusBadRequest {
+				t.Fatalf("%s with %q after the document -> %d, want 400", path, tail, code)
+			}
+		}
+	}
 	// A message starting at the compiled engine's 1<<40-slot cap is
 	// refused with 422, at once: a slot-stepping simulator would walk
 	// 1.1e12 slots before answering.

@@ -101,3 +101,50 @@ func TestHitPathAllocs(t *testing.T) {
 		t.Fatalf("hit path took %.0f allocs per request, bound %d", allocs, bound)
 	}
 }
+
+// TestTraceDecodeAllocs bounds trace.Decode of the redistribution body:
+// the document's two names and its two lists, plus room for the pooled
+// message buffer to be refilled after a collection. encoding/json's Decoder
+// took 36.
+func TestTraceDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	body := redistBody(t)
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := trace.Decode(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 18
+	t.Logf("trace decode: %.0f allocs (bound %d)", allocs, bound)
+	if allocs > bound {
+		t.Fatalf("trace decode took %.0f allocs, bound %d", allocs, bound)
+	}
+}
+
+// TestReplyDecodeAllocs bounds DecodeResponse of the reply to the
+// redistribution body: the strings, the phase list, and each phase's
+// configs with their one backing array of pairs. json.Unmarshal of the
+// envelope and then of its result took 243.
+func TestReplyDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := newWhiteboxServer(t, Config{Topology: topology.NewTorus(8, 8)})
+	rec := postTrace(s, "/compile", redistBody(t))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("compile answered %d", rec.Code)
+	}
+	reply := rec.Body.Bytes()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := DecodeResponse(reply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 24
+	t.Logf("reply decode (%d bytes): %.0f allocs (bound %d)", len(reply), allocs, bound)
+	if allocs > bound {
+		t.Fatalf("reply decode took %.0f allocs, bound %d", allocs, bound)
+	}
+}

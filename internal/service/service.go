@@ -368,7 +368,7 @@ func (s *Server) parse(r *http.Request, body []byte, bodyErr error, recompile bo
 		return nil, bodyErr
 	}
 	p.body = body
-	doc, err := trace.Read(bytes.NewReader(body))
+	doc, err := trace.Decode(body)
 	if err != nil {
 		return nil, err
 	}

@@ -287,6 +287,17 @@ func TestSessionBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed /session body -> %d, want 400", resp.StatusCode)
 	}
+	valid := oneMessageAt(0)
+	for _, tail := range []string{valid, "garbage"} {
+		resp, err := http.Post(ts.URL+"/session", "application/json", strings.NewReader(valid+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("/session with %q after the document -> %d, want 400", tail, resp.StatusCode)
+		}
+	}
 
 	// A message starting at the compiled engine's 1<<40-slot cap ends the
 	// stream with an error chunk, at once; just under the cap the phase is

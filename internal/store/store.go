@@ -33,9 +33,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,12 +112,89 @@ type Store struct {
 	opt Options
 
 	mu          sync.Mutex
-	index       map[string]EntryInfo // "kind/key" -> info
-	evictions   map[string]uint64    // owner -> QuotaGC removals
+	index       map[entryID]entryMeta
+	evictions   map[string]uint64 // owner -> QuotaGC removals
 	puts        uint64
 	hits        uint64
 	misses      uint64
 	quarantined uint64
+}
+
+// kinds lists the entry kinds; an entryID names its kind by position.
+var kinds = [...]string{KindArtifact, KindSchedule}
+
+// entryID is an entry's index key: its kind's position in kinds and its
+// key decoded from hex. The index grows with every entry the daemon
+// writes, so it keeps no strings it can derive.
+type entryID struct {
+	key  [sha256.Size]byte
+	kind uint8
+}
+
+// entryMeta is what the index keeps of an entry besides its ID.
+type entryMeta struct {
+	owner string
+	size  int64
+	mod   int64 // modification time, Unix nanoseconds
+}
+
+// idOf returns the index key of kind/key, both already checked by
+// validKind and validKey.
+func idOf(kind, key string) entryID {
+	id := entryID{kind: uint8(slices.Index(kinds[:], kind))}
+	for i := range id.key {
+		id.key[i] = unhex(key[2*i])<<4 | unhex(key[2*i+1])
+	}
+	return id
+}
+
+func unhex(c byte) byte {
+	if c <= '9' {
+		return c - '0'
+	}
+	return c - 'a' + 10
+}
+
+// entry is one index entry.
+type entry struct {
+	id   entryID
+	meta entryMeta
+}
+
+// info rebuilds the EntryInfo of an index entry.
+func (e entry) info() EntryInfo {
+	return EntryInfo{
+		Kind:    kinds[e.id.kind],
+		Key:     hex.EncodeToString(e.id.key[:]),
+		Owner:   e.meta.owner,
+		Size:    e.meta.size,
+		ModTime: time.Unix(0, e.meta.mod),
+	}
+}
+
+// oldestFirst lists the index entries keep selects, oldest first, ties
+// broken by kind then key (the decoded key sorts as its hex does), so the
+// order is deterministic.
+func (s *Store) oldestFirst(keep func(entry) bool) []entry {
+	s.mu.Lock()
+	var out []entry
+	for id, m := range s.index {
+		if e := (entry{id, m}); keep(e) {
+			out = append(out, e)
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.meta.mod != b.meta.mod {
+			return a.meta.mod < b.meta.mod
+		}
+		if ka, kb := kinds[a.id.kind], kinds[b.id.kind]; ka != kb {
+			return ka < kb
+		}
+		return bytes.Compare(a.id.key[:], b.id.key[:]) < 0
+	})
+	return out
 }
 
 // Open opens (creating if needed) the store rooted at dir, sweeps crash
@@ -128,7 +207,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt, index: make(map[string]EntryInfo), evictions: make(map[string]uint64)}
+	s := &Store{dir: dir, opt: opt, index: make(map[entryID]entryMeta), evictions: make(map[string]uint64)}
 	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
 		if err != nil || fi.IsDir() {
 			return err
@@ -146,9 +225,9 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 		kind, key, ok := s.parsePath(path)
 		if !ok {
-			return nil
+			return nil // foreign name, including a key that is not a SHA-256 digest
 		}
-		s.index[kind+"/"+key] = EntryInfo{Kind: kind, Key: key, Size: fi.Size(), ModTime: fi.ModTime()}
+		s.index[idOf(kind, key)] = entryMeta{size: fi.Size(), mod: fi.ModTime().UnixNano()}
 		return nil
 	})
 	if err != nil {
@@ -187,11 +266,11 @@ func (s *Store) parsePath(path string) (kind, key string, ok bool) {
 	return kind, key, true
 }
 
-// validKey accepts lowercase-hex content hashes only, which doubles as the
-// path-traversal guard (keys become filenames).
+// validKey accepts SHA-256 digests in lowercase hex only, which doubles as
+// the path-traversal guard (keys become filenames).
 func validKey(key string) error {
-	if len(key) < 8 {
-		return fmt.Errorf("store: key %q too short", key)
+	if len(key) != 2*sha256.Size {
+		return fmt.Errorf("store: key %q is not %d hex digits", key, 2*sha256.Size)
 	}
 	for _, c := range key {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
@@ -202,13 +281,8 @@ func validKey(key string) error {
 }
 
 func validKind(kind string) error {
-	if kind == "" || kind == quarantineDir {
-		return fmt.Errorf("store: invalid kind %q", kind)
-	}
-	for _, c := range kind {
-		if c < 'a' || c > 'z' {
-			return fmt.Errorf("store: kind %q is not lowercase alpha", kind)
-		}
+	if !slices.Contains(kinds[:], kind) {
+		return fmt.Errorf("store: unknown kind %q", kind)
 	}
 	return nil
 }
@@ -324,7 +398,7 @@ func (s *Store) PutOwned(kind, key string, payload []byte, owner string) error {
 		return fmt.Errorf("store: writing %s/%s: %w", kind, key, err)
 	}
 	s.mu.Lock()
-	s.index[kind+"/"+key] = EntryInfo{Kind: kind, Key: key, Owner: owner, Size: int64(len(data)), ModTime: time.Now()}
+	s.index[idOf(kind, key)] = entryMeta{owner: owner, size: int64(len(data)), mod: time.Now().UnixNano()}
 	s.puts++
 	s.mu.Unlock()
 	return nil
@@ -351,7 +425,7 @@ func (s *Store) GetOwned(kind, key string) (payload []byte, owner string, ok boo
 	if err != nil {
 		s.mu.Lock()
 		s.misses++
-		delete(s.index, kind+"/"+key)
+		delete(s.index, idOf(kind, key))
 		s.mu.Unlock()
 		return nil, "", false
 	}
@@ -365,9 +439,10 @@ func (s *Store) GetOwned(kind, key string) (payload []byte, owner string, ok boo
 	}
 	s.mu.Lock()
 	s.hits++
-	if info, live := s.index[kind+"/"+key]; live && info.Owner != owner {
-		info.Owner = owner
-		s.index[kind+"/"+key] = info
+	id := idOf(kind, key)
+	if m, live := s.index[id]; live && m.owner != owner {
+		m.owner = owner
+		s.index[id] = m
 	}
 	s.mu.Unlock()
 	return payload, owner, true
@@ -376,9 +451,12 @@ func (s *Store) GetOwned(kind, key string) (payload []byte, owner string, ok boo
 // Has reports whether a live entry exists for the key (by index; contents
 // are verified only at Get).
 func (s *Store) Has(kind, key string) bool {
+	if validKind(kind) != nil || validKey(key) != nil {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[kind+"/"+key]
+	_, ok := s.index[idOf(kind, key)]
 	return ok
 }
 
@@ -392,7 +470,7 @@ func (s *Store) quarantine(kind, key, path string) {
 		}
 	}
 	s.mu.Lock()
-	delete(s.index, kind+"/"+key)
+	delete(s.index, idOf(kind, key))
 	s.quarantined++
 	s.misses++
 	s.mu.Unlock()
@@ -408,7 +486,7 @@ func (s *Store) Delete(kind, key string) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
-	delete(s.index, kind+"/"+key)
+	delete(s.index, idOf(kind, key))
 	s.mu.Unlock()
 	return nil
 }
@@ -423,23 +501,11 @@ func (s *Store) Len() int {
 // Entries lists live entries of one kind ("" for all), oldest first (ties
 // broken by kind then key, so the order is deterministic).
 func (s *Store) Entries(kind string) []EntryInfo {
-	s.mu.Lock()
-	out := make([]EntryInfo, 0, len(s.index))
-	for _, info := range s.index {
-		if kind == "" || info.Kind == kind {
-			out = append(out, info)
-		}
+	es := s.oldestFirst(func(e entry) bool { return kind == "" || kinds[e.id.kind] == kind })
+	out := make([]EntryInfo, len(es))
+	for i, e := range es {
+		out[i] = e.info()
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].ModTime.Equal(out[j].ModTime) {
-			return out[i].ModTime.Before(out[j].ModTime)
-		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Key < out[j].Key
-	})
 	return out
 }
 
@@ -495,10 +561,10 @@ func (s *Store) Usage(owner string) OwnerUsage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	u := OwnerUsage{Evictions: s.evictions[owner]}
-	for _, info := range s.index {
-		if info.Owner == owner {
+	for _, m := range s.index {
+		if m.owner == owner {
 			u.Entries++
-			u.Bytes += info.Size
+			u.Bytes += m.size
 		}
 	}
 	return u
@@ -509,8 +575,8 @@ func (s *Store) Usage(owner string) OwnerUsage {
 func (s *Store) Owners() []string {
 	s.mu.Lock()
 	set := make(map[string]bool)
-	for _, info := range s.index {
-		set[info.Owner] = true
+	for _, m := range s.index {
+		set[m.owner] = true
 	}
 	s.mu.Unlock()
 	out := make([]string, 0, len(set))
@@ -531,25 +597,22 @@ func (s *Store) QuotaGC(owner string, maxEntries int, maxBytes int64) (GCStats, 
 		return GCStats{}, nil
 	}
 	var stats GCStats
-	var owned []EntryInfo
+	owned := s.oldestFirst(func(e entry) bool { return e.meta.owner == owner })
 	var bytes int64
-	for _, info := range s.Entries("") { // oldest first
-		if info.Owner == owner {
-			owned = append(owned, info)
-			bytes += info.Size
-		}
+	for _, e := range owned {
+		bytes += e.meta.size
 	}
-	for _, info := range owned {
+	for _, e := range owned {
 		over := (maxEntries > 0 && len(owned)-stats.Removed > maxEntries) ||
 			(maxBytes > 0 && bytes > maxBytes)
 		if !over {
 			break
 		}
-		if err := s.Delete(info.Kind, info.Key); err != nil {
+		if err := s.Delete(kinds[e.id.kind], hex.EncodeToString(e.id.key[:])); err != nil {
 			return stats, err
 		}
 		stats.Removed++
-		bytes -= info.Size
+		bytes -= e.meta.size
 		s.mu.Lock()
 		s.evictions[owner]++
 		s.mu.Unlock()
@@ -582,8 +645,8 @@ func (s *Store) Metrics() Metrics {
 		Misses:      s.misses,
 		Quarantined: s.quarantined,
 	}
-	for _, info := range s.index {
-		m.Bytes += info.Size
+	for _, e := range s.index {
+		m.Bytes += e.size
 	}
 	return m
 }

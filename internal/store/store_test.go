@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -284,4 +286,36 @@ func TestEntriesOrderedOldestFirst(t *testing.T) {
 	if entries[0].Key != keyN(3) || entries[2].Key != keyN(1) {
 		t.Fatalf("unexpected order: %v", entries)
 	}
+}
+
+// TestIndexBytesPerEntry bounds the heap the in-memory index keeps per
+// entry: it grows with every schedule and artifact a daemon writes. Keyed
+// by "kind/key" strings with a copy of each in the value, it took 294
+// bytes; keyed by the decoded digest it takes about 100.
+func TestIndexBytesPerEntry(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	const n = 4000
+	before := heapAfterGC()
+	for i := 0; i < n; i++ {
+		if err := s.Put(KindSchedule, fmt.Sprintf("%064x", i+1), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (float64(heapAfterGC()) - float64(before)) / n
+	if s.Len() != n {
+		t.Fatalf("index holds %d entries, want %d", s.Len(), n)
+	}
+	const bound = 180
+	t.Logf("index: %.0f bytes per entry (bound %d)", per, bound)
+	if per > bound {
+		t.Fatalf("index keeps %.0f bytes per entry, bound %d", per, bound)
+	}
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
