@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestSkipDepth: Skip checks nesting as encoding/json's scanner does,
-// which accepts 10000 open brackets and rejects 10001, counting those of
-// the enclosing values too.
+// TestSkipDepth: Skip and Compact check nesting as encoding/json's scanner
+// does, which accepts 10000 open brackets and rejects 10001, counting those
+// of the enclosing values too.
 func TestSkipDepth(t *testing.T) {
 	fields := NewFields("known")
 	for _, depth := range []int{maxDepth - 1, maxDepth, maxDepth + 1} {
@@ -24,8 +24,12 @@ func TestSkipDepth(t *testing.T) {
 			if err == nil {
 				err = d.End()
 			}
-			if valid := json.Valid([]byte(text)); (err == nil) != valid {
+			valid := json.Valid([]byte(text))
+			if (err == nil) != valid {
 				t.Errorf("depth %d in %.12q: error %v, json.Valid %v", depth, text, err, valid)
+			}
+			if _, err := Compact(nil, []byte(text)); (err == nil) != valid {
+				t.Errorf("depth %d in %.12q: Compact error %v, json.Valid %v", depth, text, err, valid)
 			}
 		}
 	}

@@ -27,9 +27,8 @@ import (
 //     immutable (every caller in this repository already does; routes are
 //     compiler artifacts, not scratch buffers).
 //   - Mutable topologies: a topology whose routing inputs change after first
-//     use (e.g. assigning Torus.Tie) must call InvalidateRoutes(t) afterwards,
-//     or the process must run with SetRouteCaching(false). Mutating before the
-//     first Route call is always safe.
+//     use (e.g. assigning Torus.Tie) must call InvalidateRoutes(t) afterwards.
+//     Mutating before the first Route call is always safe.
 //   - Concurrency-safe: lookups take a read lock per topology; misses take the
 //     write lock once. Safe for the parallel Combined fan-out and CompileAll.
 //   - Bounded: at most maxCachedTopologies topologies are tracked; inserting
@@ -52,23 +51,7 @@ type topoRoutes struct {
 var (
 	routeCaches     sync.Map // Topology -> *topoRoutes
 	routeCacheCount atomic.Int64
-	routeCachingOff atomic.Bool
 )
-
-// SetRouteCaching globally enables or disables the route cache and returns
-// the previous setting. Disabling also drops every cached entry. It is the
-// bypass knob for workloads that mutate topologies between scheduling runs.
-func SetRouteCaching(enabled bool) (was bool) {
-	was = !routeCachingOff.Load()
-	routeCachingOff.Store(!enabled)
-	if !enabled {
-		clearRouteCaches()
-	}
-	return was
-}
-
-// RouteCachingEnabled reports whether the route cache is active.
-func RouteCachingEnabled() bool { return !routeCachingOff.Load() }
 
 // InvalidateRoutes drops every cached route of one topology. Call it after
 // mutating a topology value that has already been routed on (for example,
@@ -135,7 +118,7 @@ func cacheFor(t Topology) *topoRoutes {
 // value while the cache holds. The returned Path shares its Links slice with
 // every other caller and must not be mutated.
 func CachedRoute(t Topology, src, dst NodeID) (Path, error) {
-	if routeCachingOff.Load() || !cacheableTopology(t) {
+	if !cacheableTopology(t) {
 		return t.Route(src, dst)
 	}
 	tr := cacheFor(t)

@@ -92,28 +92,6 @@ func TestInvalidateRoutesAfterMutation(t *testing.T) {
 	network.InvalidateRoutes(torus)
 }
 
-// TestSetRouteCachingBypass: with caching disabled nothing is stored and
-// routes still come back correct.
-func TestSetRouteCachingBypass(t *testing.T) {
-	was := network.SetRouteCaching(false)
-	defer network.SetRouteCaching(was)
-	torus := topology.NewTorus(4, 4)
-	p, err := network.CachedRoute(torus, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := torus.Route(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, want) {
-		t.Fatalf("bypassed route = %v, want %v", p, want)
-	}
-	if topos, paths := network.RouteCacheStats(); topos != 0 || paths != 0 {
-		t.Fatalf("cache grew while disabled: %d topologies, %d paths", topos, paths)
-	}
-}
-
 // TestRouteCacheDistinctTopologies: two equal-shaped but distinct topology
 // values never share entries (identity keying), so mutating one cannot
 // poison the other.

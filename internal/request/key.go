@@ -1,10 +1,11 @@
 package request
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // Triple is one entry of a canonical communication pattern: a connection
@@ -28,26 +29,29 @@ func (s Set) Triples(flits int) []Triple {
 	return out
 }
 
-// CanonicalTriples returns a copy of the triples in canonical order: sorted
-// by (Src, Dst, Start, Flits). Two message lists that are permutations of
-// each other canonicalize identically, which is what makes PatternKey
-// independent of request order and of map iteration in any producer.
+// CompareTriples is the canonical order: by Src, then Dst, Start and
+// Flits. It is total over all four fields, so every correct sort of a
+// multiset of triples yields the same sequence.
+func CompareTriples(a, b Triple) int {
+	switch {
+	case a.Src != b.Src:
+		return cmp.Compare(a.Src, b.Src)
+	case a.Dst != b.Dst:
+		return cmp.Compare(a.Dst, b.Dst)
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	}
+	return cmp.Compare(a.Flits, b.Flits)
+}
+
+// CanonicalTriples returns a copy of the triples in canonical order. Two
+// message lists that are permutations of each other canonicalize
+// identically, which is what makes PatternKey independent of request order
+// and of map iteration in any producer.
 func CanonicalTriples(ts []Triple) []Triple {
 	out := make([]Triple, len(ts))
 	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Flits < b.Flits
-	})
+	slices.SortFunc(out, CompareTriples)
 	return out
 }
 
@@ -61,31 +65,54 @@ const patternKeyDomain = "ccomm-pattern-v1"
 // (scheduler name, fault mask, phase attributes). The encoding is
 // injective — every field is length- or count-prefixed — so two inputs
 // collide only if SHA-256 itself collides, and the triple ordering is
-// canonicalized first, so the key never depends on request order.
+// canonicalized first (by a sorted copy, unless the triples are already in
+// canonical order), so the key never depends on request order.
 func PatternKey(triples []Triple, topology string, params ...string) string {
+	if !slices.IsSortedFunc(triples, CompareTriples) {
+		triples = CanonicalTriples(triples)
+	}
+	return CanonicalPatternKey(len(triples), func(i int) Triple { return triples[i] }, topology, params...)
+}
+
+// CanonicalPatternKey is PatternKey of n triples that are already in
+// canonical order, read by index through at, so a caller holding them in
+// another form hashes them without copying or sorting them. Triples out of
+// canonical order give a key that no permutation of them has.
+func CanonicalPatternKey(n int, at func(i int) Triple, topology string, params ...string) string {
 	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(len(s))
-		h.Write([]byte(s))
-	}
-	writeStr(patternKeyDomain)
-	writeStr(topology)
-	writeInt(len(params))
+	b := make([]byte, 0, keyChunk) // the encoding, hashed a chunk at a time
+	b = appendKeyString(b, patternKeyDomain)
+	b = appendKeyString(b, topology)
+	b = appendKeyInt(b, len(params))
 	for _, p := range params {
-		writeStr(p)
+		b = appendKeyString(b, p)
 	}
-	canon := CanonicalTriples(triples)
-	writeInt(len(canon))
-	for _, t := range canon {
-		writeInt(t.Src)
-		writeInt(t.Dst)
-		writeInt(t.Flits)
-		writeInt(t.Start)
+	b = appendKeyInt(b, n)
+	for i := 0; i < n; i++ {
+		if len(b) > keyChunk-32 {
+			h.Write(b)
+			b = b[:0]
+		}
+		t := at(i)
+		b = appendKeyInt(b, t.Src)
+		b = appendKeyInt(b, t.Dst)
+		b = appendKeyInt(b, t.Flits)
+		b = appendKeyInt(b, t.Start)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(b[:0]))
+}
+
+// keyChunk is the size of the buffer PatternKey encodes into: large enough
+// that SHA-256 sees few Writes, small enough to cost nothing to allocate.
+const keyChunk = 2048
+
+// appendKeyInt appends v as eight little-endian bytes.
+func appendKeyInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+}
+
+// appendKeyString appends s prefixed by its length.
+func appendKeyString(b []byte, s string) []byte {
+	return append(appendKeyInt(b, len(s)), s...)
 }

@@ -126,3 +126,36 @@ func TestNamedTopologySharesRouteCache(t *testing.T) {
 		}
 	}
 }
+
+// TestNamedViewAllocs bounds a repeat of a ?topology= lookup in either
+// spelling topology.Parse accepts. After the first request both spellings
+// are map hits on the one shared instance; the colon form used to miss
+// every time and re-parse under the table's lock (2,026 allocations per
+// repeat of dragonfly:4,8,2).
+func TestNamedViewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := newWhiteboxServer(t, Config{})
+	for _, spellings := range [][2]string{{"dragonfly:4,8,2", "dragonfly-4x8x2"}, {"fattree:8", "fattree-8"}} {
+		first, err := s.views.named(spellings[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range spellings {
+			var got network.Topology
+			allocs := testing.AllocsPerRun(50, func() { got, err = s.views.named(spec) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != first {
+				t.Fatalf("%s returned a second instance of %s", spec, first.Name())
+			}
+			const bound = 1
+			t.Logf("%s: %.0f allocs per lookup (bound %d)", spec, allocs, bound)
+			if allocs > bound {
+				t.Fatalf("%s took %.0f allocs per lookup, bound %d", spec, allocs, bound)
+			}
+		}
+	}
+}

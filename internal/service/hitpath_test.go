@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/redist"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -146,5 +148,105 @@ func TestReplyDecodeAllocs(t *testing.T) {
 	t.Logf("reply decode (%d bytes): %.0f allocs (bound %d)", len(reply), allocs, bound)
 	if allocs > bound {
 		t.Fatalf("reply decode took %.0f allocs, bound %d", allocs, bound)
+	}
+}
+
+// TestParseAllocs bounds Server.parse of the redistribution body: the
+// query, the request, trace.Decode's allocations, the program's one backing
+// array of messages with its phase list and its sort buffer, and the key.
+// Before the program was built in one pass it took 37: a second
+// validation's copy, a canonical copy, the key's triples and their sorted
+// copy, sort.Slice's reflection and a Write per key field.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := newWhiteboxServer(t, Config{Topology: topology.NewTorus(8, 8)})
+	body := redistBody(t)
+	req, err := http.NewRequest(http.MethodPost, "/compile", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.parse(req, body, nil, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 24
+	t.Logf("parse: %.0f allocs (bound %d)", allocs, bound)
+	if allocs > bound {
+		t.Fatalf("parse took %.0f allocs, bound %d", allocs, bound)
+	}
+}
+
+// BenchmarkParse times Server.parse of the redistribution body: decode,
+// canonical program and key.
+func BenchmarkParse(b *testing.B) {
+	s, err := New(Config{Topology: topology.NewTorus(8, 8)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	body := redistBody(b)
+	req, err := http.NewRequest(http.MethodPost, "/compile", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.parse(req, body, nil, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCanonicalArtifact times the admission of a peer's artifact:
+// canonicalArtifact of the redistribution body's compiled result.
+func BenchmarkCanonicalArtifact(b *testing.B) {
+	s, err := New(Config{Topology: topology.NewTorus(8, 8)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rec := postTrace(s, "/compile", redistBody(b))
+	env, _, err := DecodeResponse(rec.Body.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(env.Result)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := canonicalArtifact(env.Result); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSortMessages sorts the redistribution body's messages, shuffled,
+// into canonical order: the radix sort canonicalProgram runs, and the
+// sort.Slice of the oracle it replaced.
+func BenchmarkSortMessages(b *testing.B) {
+	doc, err := trace.Decode(redistBody(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	msgs := canonicalProgram(doc).Phases[0].Messages
+	rand.New(rand.NewSource(1)).Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+	work := make([]sim.Message, len(msgs))
+	for _, bc := range []struct {
+		name string
+		sort func([]sim.Message)
+	}{
+		{"radix", sortMessages},
+		{"sort.Slice", func(m []sim.Message) {
+			oracleCanonicalProgram(core.Program{Phases: []core.Phase{{Messages: m}}})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, msgs)
+				bc.sort(work)
+			}
+		})
 	}
 }

@@ -40,6 +40,10 @@ const maxBaseCandidates = 32
 // route-cache entry, so the process-wide cache cannot churn without bound.
 const maxViews = 8
 
+// maxSpellings bounds the table of topology spellings that are not a
+// canonical name (topology.Parse's colon form, "dragonfly:4,8,2").
+const maxSpellings = 64
+
 // viewKey names one view: a topology by name, plus the canonical fault-set
 // string for a masked view ("" for the healthy topology).
 type viewKey struct{ topo, faults string }
@@ -53,19 +57,29 @@ type viewCache struct {
 	mu  sync.Mutex
 	own viewKey // the daemon's own topology, never evicted
 	m   map[viewKey]network.Topology
+	// canon maps a spelling other than a canonical name to the name it
+	// parses to. It names views, never holds them, so each view has one
+	// key in m and evicting it invalidates routes nothing else reaches.
+	canon map[string]string
 }
 
 func newViewCache(own network.Topology) *viewCache {
 	k := viewKey{topo: own.Name()}
-	return &viewCache{own: k, m: map[viewKey]network.Topology{k: own}}
+	return &viewCache{own: k, m: map[viewKey]network.Topology{k: own}, canon: make(map[string]string)}
 }
 
 // named returns the shared instance of the topology a request names,
-// parsing spec only when the table holds no topology of that name.
+// parsing spec, outside the lock, only when the table holds no topology of
+// that name or spelling.
 func (c *viewCache) named(spec string) (network.Topology, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.m[viewKey{topo: spec}]; ok {
+	name := spec
+	if n, ok := c.canon[spec]; ok {
+		name = n
+	}
+	t, ok := c.m[viewKey{topo: name}]
+	c.mu.Unlock()
+	if ok {
 		return t, nil
 	}
 	t, err := topology.Parse(spec)
@@ -73,6 +87,14 @@ func (c *viewCache) named(spec string) (network.Topology, error) {
 		return nil, err
 	}
 	k := viewKey{topo: t.Name()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k.topo != spec {
+		if len(c.canon) >= maxSpellings {
+			clear(c.canon)
+		}
+		c.canon[spec] = k.topo
+	}
 	if shared, ok := c.m[k]; ok {
 		return shared, nil
 	}

@@ -48,8 +48,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,6 +59,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/fault"
+	"repro/internal/jsonwire"
 	"repro/internal/network"
 	"repro/internal/optics"
 	"repro/internal/qos"
@@ -306,8 +309,8 @@ func (e compileError) Unwrap() error { return e.err }
 
 // parsedRequest is a validated compile/recompile request.
 type parsedRequest struct {
-	doc       trace.Document
-	prog      core.Program // canonicalized message order
+	pes       int
+	prog      core.Program // canonical message order
 	topo      network.Topology
 	topoName  string
 	scheduler schedule.Scheduler
@@ -368,19 +371,15 @@ func (s *Server) parse(r *http.Request, body []byte, bodyErr error, recompile bo
 		return nil, bodyErr
 	}
 	p.body = body
-	doc, err := trace.Decode(body)
+	doc, err := trace.Decode(body) // validates, so the program needs no second check
 	if err != nil {
 		return nil, err
 	}
 	if doc.PEs != pes {
 		return nil, fmt.Errorf("service: trace targets %d PEs but topology %s hosts %d", doc.PEs, p.topoName, pes)
 	}
-	p.doc = doc
-	prog, err := doc.Program()
-	if err != nil {
-		return nil, err
-	}
-	p.prog = canonicalProgram(prog)
+	p.pes = pes
+	p.prog = canonicalProgram(doc)
 
 	faultsParam := ""
 	if recompile {
@@ -413,7 +412,7 @@ func (s *Server) parse(r *http.Request, body []byte, bodyErr error, recompile bo
 			p.mask = &FaultMask{Links: links, Nodes: nodes}
 		}
 	}
-	p.key = programKey(p.prog, doc.PEs, p.topoName, p.schedName, faultsParam)
+	p.key = programKey(p.prog, pes, p.topoName, p.schedName, faultsParam)
 	return p, nil
 }
 
@@ -447,76 +446,134 @@ func digestRequest(endpoint, rawQuery string, body []byte) requestDigest {
 	return d
 }
 
-// canonicalProgram sorts every phase's messages by (src, dst, start, flits),
-// the normalization that makes pattern hashing and scheduling independent of
-// the order a caller enumerated its messages in.
-func canonicalProgram(prog core.Program) core.Program {
-	out := core.Program{Name: prog.Name, Phases: make([]core.Phase, len(prog.Phases))}
-	for i, ph := range prog.Phases {
-		msgs := append([]sim.Message(nil), ph.Messages...)
-		sort.Slice(msgs, func(a, b int) bool {
-			x, y := msgs[a], msgs[b]
-			if x.Src != y.Src {
-				return x.Src < y.Src
-			}
-			if x.Dst != y.Dst {
-				return x.Dst < y.Dst
-			}
-			if x.Start != y.Start {
-				return x.Start < y.Start
-			}
-			return x.Flits < y.Flits
-		})
-		out.Phases[i] = core.Phase{Name: ph.Name, Messages: msgs, Dynamic: ph.Dynamic}
+// canonicalProgram returns the program of a validated document in
+// canonical form: every phase's messages sorted by (src, dst, start,
+// flits), the normalization that makes pattern hashing and scheduling
+// independent of the order a caller enumerated its messages in. Each
+// message is copied once, into one backing array of which every phase is a
+// capped sub-slice; doc is left as it was.
+func canonicalProgram(doc trace.Document) core.Program {
+	n := 0
+	for _, ph := range doc.Phases {
+		n += len(ph.Messages)
 	}
-	return out
+	all := make([]sim.Message, n)
+	phases := make([]core.Phase, len(doc.Phases))
+	for i, ph := range doc.Phases {
+		msgs := all[:len(ph.Messages):len(ph.Messages)]
+		all = all[len(ph.Messages):]
+		for j, m := range ph.Messages {
+			msgs[j] = sim.Message(m)
+		}
+		if !slices.IsSortedFunc(msgs, compareMessages) {
+			sortMessages(msgs)
+		}
+		phases[i] = core.Phase{Name: ph.Name, Messages: msgs, Dynamic: ph.Dynamic}
+	}
+	return core.Program{Name: doc.Name, Phases: phases}
+}
+
+// compareMessages is the canonical message order, request.CompareTriples.
+func compareMessages(a, b sim.Message) int {
+	return request.CompareTriples(request.Triple(a), request.Triple(b))
+}
+
+// sortScratch holds the buffers sortMessages sorts through.
+var sortScratch = sync.Pool{New: func() any { return new([]sim.Message) }}
+
+// sortMessages puts messages with non-negative endpoints in canonical
+// order. It is a stable least-significant-digit radix sort on (src, dst),
+// one counting pass per byte the largest dst and then the largest src
+// need, after which each run of equal (src, dst) is sorted by (start,
+// flits). It needs a pooled buffer of one message per message and 256
+// counters, whatever the topology's size.
+func sortMessages(msgs []sim.Message) {
+	buf := sortScratch.Get().(*[]sim.Message)
+	defer sortScratch.Put(buf)
+	if cap(*buf) < len(msgs) {
+		*buf = make([]sim.Message, len(msgs))
+	}
+	scratch := (*buf)[:len(msgs)]
+	var srcBits, dstBits uint
+	for _, m := range msgs {
+		srcBits |= uint(m.Src)
+		dstBits |= uint(m.Dst)
+	}
+	from, to := msgs, scratch
+	pass := func(key func(sim.Message) uint, shift uint) {
+		var start [256]int
+		for _, m := range from {
+			start[key(m)>>shift&0xff]++
+		}
+		at := 0
+		for b, c := range start {
+			start[b], at = at, at+c
+		}
+		for _, m := range from {
+			b := key(m) >> shift & 0xff
+			to[start[b]] = m
+			start[b]++
+		}
+		from, to = to, from
+	}
+	for shift := uint(0); dstBits>>shift != 0; shift += 8 {
+		pass(func(m sim.Message) uint { return uint(m.Dst) }, shift)
+	}
+	for shift := uint(0); srcBits>>shift != 0; shift += 8 {
+		pass(func(m sim.Message) uint { return uint(m.Src) }, shift)
+	}
+	copy(msgs, from) // a no-op after an even number of passes
+	for i := 0; i < len(msgs); {
+		j := i + 1
+		for j < len(msgs) && msgs[j].Src == msgs[i].Src && msgs[j].Dst == msgs[i].Dst {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(msgs[i:j], compareMessages)
+		}
+		i = j
+	}
 }
 
 // programKey derives the content-address of a whole program's compiled
 // artifact: a SHA-256 over the per-phase canonical pattern keys of
 // internal/request plus the program attributes that select a different
 // artifact. Phase names participate deliberately — the artifact echoes
-// them — but message order never does (PatternKey canonicalizes).
+// them. prog must be canonical (canonicalProgram), so each phase's
+// messages are hashed as they stand, neither copied nor sorted again.
 func programKey(prog core.Program, pes int, topoName, schedName, faultsParam string) string {
-	h := sha256.New()
-	var scratch [8]byte
+	b := make([]byte, 0, 64+len(prog.Name)+(8+2*sha256.Size)*len(prog.Phases))
 	writeStr := func(str string) {
-		n := len(str)
-		for i := 0; i < 8; i++ {
-			scratch[i] = byte(n >> (8 * i))
-		}
-		h.Write(scratch[:])
-		h.Write([]byte(str))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(str)))
+		b = append(b, str...)
 	}
 	writeStr("ccomm-program-v1")
 	writeStr(prog.Name)
 	writeStr(strconv.Itoa(pes))
 	writeStr(strconv.Itoa(len(prog.Phases)))
 	for _, ph := range prog.Phases {
-		triples := make([]request.Triple, len(ph.Messages))
-		for i, m := range ph.Messages {
-			triples[i] = request.Triple{Src: m.Src, Dst: m.Dst, Flits: m.Flits, Start: m.Start}
-		}
-		writeStr(request.PatternKey(triples, topoName,
+		msgs := ph.Messages
+		writeStr(request.CanonicalPatternKey(len(msgs), func(i int) request.Triple { return request.Triple(msgs[i]) }, topoName,
 			"alg="+schedName,
 			"faults="+faultsParam,
 			"phase="+ph.Name,
 			"dynamic="+strconv.FormatBool(ph.Dynamic),
 		))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // KeyForDocument computes the content-address a fault-free /compile of doc
 // resolves to on the named topology and scheduler, without compiling
 // anything. The cluster layer and its tests use it to reason about key
 // ownership (which daemon a request will be forwarded to) ahead of time.
+// It validates doc as trace.Decode does, once, and leaves it as it was.
 func KeyForDocument(doc trace.Document, topoName, schedName string) (string, error) {
-	prog, err := doc.Program()
-	if err != nil {
+	if err := doc.Validate(); err != nil {
 		return "", err
 	}
-	return programKey(canonicalProgram(prog), doc.PEs, topoName, schedName, ""), nil
+	return programKey(canonicalProgram(doc), doc.PEs, topoName, schedName, ""), nil
 }
 
 // ArtifactKeys lists every program key this daemon can serve without a
@@ -579,9 +636,22 @@ func (s *Server) ArtifactPutOwned(key, tenant string, raw json.RawMessage) {
 // are json.Marshal output and already in this form; an artifact that enters
 // the cache from outside the process (a peer's forward reply, a gossip pull)
 // is put in it, so splicing any cached artifact into a reply (writeArtifact)
-// is byte-identical to encoding the envelope.
+// is byte-identical to encoding the envelope. It checks and rewrites raw in
+// one pass (jsonwire.Compact), failing where json.Marshal fails, and the
+// result is a copy of its own exact size: raw usually aliases a whole peer
+// reply, which a cache entry must not keep alive.
 func canonicalArtifact(raw json.RawMessage) (json.RawMessage, error) {
-	return json.Marshal(raw)
+	if raw == nil {
+		return json.RawMessage("null"), nil // as json.Marshal writes a nil RawMessage
+	}
+	out, err := jsonwire.Compact(make([]byte, 0, len(raw)), raw)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != cap(out) { // whitespace cut or characters escaped
+		out = append(make([]byte, 0, len(out)), out...)
+	}
+	return out, nil
 }
 
 // tenantOfOwner maps a store owner tag back to a canonical tenant: the
@@ -743,7 +813,7 @@ func (s *Server) buildArtifact(p *parsedRequest) (json.RawMessage, error) {
 	}
 	res := &Result{
 		Program:          p.prog.Name,
-		PEs:              p.doc.PEs,
+		PEs:              p.pes,
 		Topology:         p.topoName,
 		Scheduler:        p.schedName,
 		Faults:           p.mask,

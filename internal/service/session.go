@@ -80,7 +80,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		Type:      SessionChunkHeader,
 		Key:       p.key,
 		Program:   p.prog.Name,
-		PEs:       p.doc.PEs,
+		PEs:       p.pes,
 		Topology:  p.topoName,
 		Scheduler: p.schedName,
 		Phases:    len(p.prog.Phases),
