@@ -14,8 +14,10 @@ package ccomm_test
 //	BenchmarkFigure3…  the greedy-vs-optimal example instance
 //	BenchmarkAblation… design-choice ablations (coloring priority, AAPC
 //	                   ranking, tie policy)
+//	BenchmarkExtension… the same metrics on other fabrics (3-D torus,
+//	                   scaling, Omega, Beneš) and adaptive routing
 //
-// cmd/cctables and cmd/ccsim print the same data in the paper's row format.
+// cmd/cctables prints the same data in the paper's row format.
 
 import (
 	"fmt"
@@ -26,8 +28,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/apps"
 	"repro/internal/benes"
-	"repro/internal/embed"
-	"repro/internal/multihop"
 	"repro/internal/network"
 	"repro/internal/patterns"
 	"repro/internal/redist"
@@ -598,172 +598,6 @@ func BenchmarkAblationReservationScheme(b *testing.B) {
 				last = out.Time
 			}
 			b.ReportMetric(float64(last), "slots")
-		})
-	}
-}
-
-// BenchmarkExtensionIteratedGreedy measures the compile-time/quality trade
-// of random-restart scheduling over the combined algorithm.
-func BenchmarkExtensionIteratedGreedy(b *testing.B) {
-	sets := randomSets(b, 1600, 8)
-	b.Run("combined", func(b *testing.B) {
-		reportDegree(b, schedule.Combined{}, sets)
-	})
-	b.Run("iterated-32", func(b *testing.B) {
-		reportDegree(b, schedule.IteratedGreedy{Restarts: 32}, sets)
-	})
-}
-
-// BenchmarkExtensionRegisterDepth sweeps the shift-register depth the
-// hardware provides and reports the total time of the dense P3M 2 phase
-// when its 64-configuration schedule must execute as sub-phases of at most
-// that depth, paying a register rewrite between sub-phases. Shallow
-// registers force frequent reconfiguration; the sweep exposes the knee.
-func BenchmarkExtensionRegisterDepth(b *testing.B) {
-	phases, err := apps.P3M(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ph := phases[1] // P3M 2
-	res, err := schedule.Combined{}.Schedule(benchTorus, apps.Phase{Messages: ph.Messages}.Pattern().Dedup())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const reconfigPerSlot, barrier = 1, 16
-	for _, depth := range []int{4, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			var total int
-			for i := 0; i < b.N; i++ {
-				subs, err := schedule.SplitByDepth(res, depth)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = 0
-				for _, sub := range subs {
-					var msgs []sim.Message
-					for _, m := range ph.Messages {
-						if _, ok := sub.Slot[request.Request{Src: network.NodeID(m.Src), Dst: network.NodeID(m.Dst)}]; ok {
-							msgs = append(msgs, m)
-						}
-					}
-					out, err := sim.RunCompiled(sub, msgs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += reconfigPerSlot*sub.Degree() + barrier + out.Time
-				}
-			}
-			b.ReportMetric(float64(total), "slots")
-		})
-	}
-}
-
-// BenchmarkExtensionCentralized quantifies the Section 2 claim that
-// centralized dynamic control does not scale: the single controller's
-// serial request processing dominates for dense patterns.
-func BenchmarkExtensionCentralized(b *testing.B) {
-	phases, err := apps.P3M(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gs, err := apps.GS(64, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range []struct {
-		name string
-		msgs []sim.Message
-	}{{"GS-64", gs.Messages}, {"P3M2-32", phases[1].Messages}} {
-		b.Run(row.name, func(b *testing.B) {
-			var last int
-			for i := 0; i < b.N; i++ {
-				out, err := sim.RunCentralized(benchTorus, row.msgs, sim.DefaultCentralizedParams())
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = out.Time
-			}
-			b.ReportMetric(float64(last), "slots")
-		})
-	}
-}
-
-// BenchmarkExtensionEmbedding compares logical-rank embeddings for the
-// hypercube pattern: identity (the paper's implicit choice) versus the
-// Gray-code embedding that makes bit neighbors near neighbors.
-func BenchmarkExtensionEmbedding(b *testing.B) {
-	set, err := patterns.Hypercube(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gray, err := embed.GrayTorus(benchTorus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range []struct {
-		name string
-		m    embed.Mapping
-	}{{"identity", embed.Identity(64)}, {"gray", gray}} {
-		b.Run(row.name, func(b *testing.B) {
-			var deg int
-			for i := 0; i < b.N; i++ {
-				d, _, err := embed.Cost(benchTorus, schedule.Combined{}, set, row.m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				deg = d
-			}
-			b.ReportMetric(float64(deg), "degree")
-		})
-	}
-}
-
-// BenchmarkExtensionMultihop runs the comparison the paper's section 3.3
-// defers: serving compile-time-unknown traffic via a statically embedded
-// virtual hypercube (multihop emulation, shallow TDM frame) versus the
-// direct AAPC fallback (single hop, 64-slot frame).
-func BenchmarkExtensionMultihop(b *testing.B) {
-	emu, err := multihop.Compile(benchTorus, multihop.HypercubeVirtual{}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fallback, err := schedule.OrderedAAPC{}.Schedule(benchTorus, patterns.AllToAll(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, gap := range []int{800, 200} {
-		rng := rand.New(rand.NewSource(11))
-		msgs, err := sim.OpenLoop(rng, sim.OpenLoopConfig{Nodes: 64, MessagesPerNode: 10, Flits: 2, MeanGap: gap})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("gap=%d/virtual-hypercube", gap), func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				out, err := emu.RunEmulation(msgs, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat, err = sim.MeanLatency(msgs, out.Finish)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(lat, "slots/msg")
-		})
-		b.Run(fmt.Sprintf("gap=%d/aapc-fallback", gap), func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				out, err := sim.RunCompiled(fallback, msgs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat, err = sim.MeanLatency(msgs, out.Finish)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(lat, "slots/msg")
 		})
 	}
 }

@@ -192,17 +192,12 @@ func main() {
 		}))
 
 		// Scheduling core, no HTTP in the way: the arena compile the service
-		// runs per cache miss, next to the retained map-based oracle core the
-		// differential suite compares it against. The ratio between the two
-		// rows is the bitset-core speedup, locked into the JSON.
+		// runs per cache miss. Its speedup over the map-based oracle core is
+		// `go test ./internal/schedule -bench CompileMiss`.
 		st := schedule.NewCompileState()
 		var combined schedule.Scheduler = schedule.Combined{}
 		check(report.Run("sched/compile/hypercube64", func() error {
 			_, err := st.Compile(combined, torus, hyper)
-			return err
-		}))
-		check(report.Run("sched/compile-oracle/hypercube64", func() error {
-			_, err := schedule.OracleCombined{}.Schedule(torus, hyper)
 			return err
 		}))
 

@@ -1,16 +1,13 @@
 // Package experiments generates the paper's evaluation tables as data —
-// the single implementation behind the cmd/cctables and cmd/ccsim tools and
-// the root benchmark harness, so the numbers in every output channel come
-// from one tested code path.
+// the single implementation behind cmd/cctables, which prints Tables 1-5,
+// so every table comes from one tested code path.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/apps"
-	"repro/internal/cliutil"
 	"repro/internal/network"
 	"repro/internal/patterns"
 	"repro/internal/redist"
@@ -49,40 +46,14 @@ func degreesFor(t network.Topology, set request.Set) ([]int, error) {
 	return out, nil
 }
 
-// degreesForAll schedules many request sets concurrently (schedulers are
-// pure, so the sweep parallelizes trivially) and returns degrees indexed
-// like the input. The sets themselves are generated sequentially by the
-// callers, keeping the sweep deterministic for a fixed seed.
-func degreesForAll(t network.Topology, sets []request.Set) ([][]int, error) {
-	out := make([][]int, len(sets))
-	errs := make([]error, len(sets))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cliutil.Workers(0))
-	for i := range sets {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = degreesFor(t, sets[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // RunSweep runs gen once per trial on sim.Sweep's worker pool and collects
 // the results in trial order. Each trial draws randomness only from its own
 // rng (seeded by sim.TrialSeed), so the returned slice is byte-identical for
 // any worker count; workers <= 0 means GOMAXPROCS. This is the engine behind
-// the trial loops of Tables 1, 2 and 5.
+// every table: the trial loops of Tables 1 and 2, and the per-pattern and
+// per-cell work of Tables 3 and 5.
 func RunSweep[T any](trials, workers int, seed int64, gen func(trial int, rng *rand.Rand) (T, error)) ([]T, error) {
-	out := make([]T, trials)
+	out := make([]T, max(trials, 0)) // a negative count is Sweep's error
 	err := sim.Sweep(trials, workers, seed, func(trial int, rng *rand.Rand) error {
 		v, err := gen(trial, rng)
 		if err != nil {
@@ -285,17 +256,15 @@ type Table3Row struct {
 	Improvement float64
 }
 
-// PatternEntry names one of Table 3's frequently used patterns.
-type PatternEntry struct {
-	Name string
-	Set  request.Set
+// patternEntry names one of Table 3's frequently used patterns.
+type patternEntry struct {
+	name string
+	set  request.Set
 }
 
-// Table3Patterns returns the five classic patterns of Table 3 sized for the
-// topology's terminal count. Exported so the CLI tools can feed the same
-// pattern list through the public batch compiler (ccomm.Compiler.CompileAll)
-// that production phase compilation uses.
-func Table3Patterns(t network.Topology) ([]PatternEntry, error) {
+// table3Patterns returns the five classic patterns of Table 3 sized for the
+// topology's terminal count.
+func table3Patterns(t network.Topology) ([]patternEntry, error) {
 	nodes := network.TerminalCount(t)
 	hyper, err := patterns.Hypercube(nodes)
 	if err != nil {
@@ -309,7 +278,7 @@ func Table3Patterns(t network.Topology) ([]PatternEntry, error) {
 	for side*side < nodes {
 		side++
 	}
-	return []PatternEntry{
+	return []patternEntry{
 		{"ring", patterns.Ring(nodes)},
 		{"nearest neighbor", patterns.NearestNeighbor2D(side, nodes/side)},
 		{"hypercube", hyper},
@@ -318,25 +287,25 @@ func Table3Patterns(t network.Topology) ([]PatternEntry, error) {
 	}, nil
 }
 
-// Table3 schedules the five classic patterns, all concurrently.
-func Table3(t network.Topology) ([]Table3Row, error) {
-	entries, err := Table3Patterns(t)
+// Table3 schedules the five classic patterns, one pattern per trial of a
+// pool of the given size (zero means GOMAXPROCS; the rows are identical for
+// any value).
+func Table3(t network.Topology, workers int) ([]Table3Row, error) {
+	entries, err := table3Patterns(t)
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]request.Set, len(entries))
-	for i, e := range entries {
-		sets[i] = e.Set
-	}
-	all, err := degreesForAll(t, sets)
+	all, err := RunSweep(len(entries), workers, 0, func(i int, _ *rand.Rand) ([]int, error) {
+		return degreesFor(t, entries[i].set)
+	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table3Row, len(entries))
 	for i, e := range entries {
 		rows[i] = Table3Row{
-			Name:        e.Name,
-			Conns:       len(e.Set),
+			Name:        e.name,
+			Conns:       len(e.set),
 			Degrees:     all[i],
 			Improvement: Improvement(float64(all[i][0]), float64(all[i][3])),
 		}

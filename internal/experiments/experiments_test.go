@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestTable3MatchesPaperCombined(t *testing.T) {
 	torus := topology.NewTorus(8, 8)
-	rows, err := experiments.Table3(torus)
+	rows, err := experiments.Table3(torus, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +168,13 @@ func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return rows
 	}
+	t3 := func(workers int) interface{} {
+		rows, err := experiments.Table3(torus, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
 	t5 := func(workers int) interface{} {
 		rows, err := experiments.Table5(torus, experiments.Table5Config{
 			FixedDegrees: []int{2, 5}, GSSizes: []int{64}, P3MSizes: []int{32}, Workers: workers,
@@ -182,6 +190,7 @@ func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 	}{
 		{"table1", t1},
 		{"table2", t2},
+		{"table3", t3},
 		{"table5", t5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,6 +204,15 @@ func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunSweepNegativeTrials: a negative count is Sweep's error, not a
+// makeslice panic (cctables -trials -1 and ccfault -trials -1 reach here).
+func TestRunSweepNegativeTrials(t *testing.T) {
+	_, err := experiments.RunSweep(-1, 1, 0, func(int, *rand.Rand) (int, error) { return 0, nil })
+	if err == nil {
+		t.Fatal("RunSweep accepted a negative trial count")
 	}
 }
 

@@ -20,6 +20,9 @@ import (
 // redrawn, matching the paper's random-pattern workload (up to 4032 distinct
 // pairs on 64 nodes).
 func Random(rng *rand.Rand, nodes, n int) (request.Set, error) {
+	if nodes < 0 || n < 0 {
+		return nil, fmt.Errorf("patterns: negative count (%d requests over %d nodes)", n, nodes)
+	}
 	maxPairs := nodes * (nodes - 1)
 	if n > maxPairs {
 		return nil, fmt.Errorf("patterns: %d requests exceed the %d distinct pairs of %d nodes", n, maxPairs, nodes)
@@ -40,21 +43,6 @@ func Random(rng *rand.Rand, nodes, n int) (request.Set, error) {
 		set = append(set, r)
 	}
 	return set, nil
-}
-
-// RandomWithRepetition generates n random requests without deduplication,
-// used by the ablation experiments to study the effect of repeated pairs.
-func RandomWithRepetition(rng *rand.Rand, nodes, n int) request.Set {
-	set := make(request.Set, 0, n)
-	for len(set) < n {
-		s := network.NodeID(rng.Intn(nodes))
-		d := network.NodeID(rng.Intn(nodes))
-		if s == d {
-			continue
-		}
-		set = append(set, request.Request{Src: s, Dst: d})
-	}
-	return set
 }
 
 // Ring treats the PEs as a logical ring and connects every PE to both of

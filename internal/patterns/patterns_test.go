@@ -46,15 +46,12 @@ func TestRandomRejectsOversizedRequest(t *testing.T) {
 	}
 }
 
-func TestRandomWithRepetition(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	set := patterns.RandomWithRepetition(rng, 8, 500)
-	if len(set) != 500 {
-		t.Fatalf("got %d requests", len(set))
-	}
-	checkNoSelfLoops(t, set, 8)
-	if len(set.Dedup()) == len(set) {
-		t.Error("500 draws over 56 pairs produced no duplicates; generator broken")
+func TestRandomRejectsNegativeCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct{ nodes, n int }{{8, -5}, {-3, 2}, {-3, 0}} {
+		if _, err := patterns.Random(rng, c.nodes, c.n); err == nil {
+			t.Errorf("Random(%d nodes, %d requests) accepted a negative count", c.nodes, c.n)
+		}
 	}
 }
 

@@ -145,32 +145,6 @@ func Redistribute(shape [3]int, from, to Dist) (Pattern, error) {
 	return pat, nil
 }
 
-// RedistributeBrute computes the same pattern by enumerating every array
-// element; it exists to cross-check Redistribute in tests.
-func RedistributeBrute(shape [3]int, from, to Dist) (Pattern, error) {
-	if from.Procs() != to.Procs() {
-		return Pattern{}, fmt.Errorf("redist: grids address %d and %d PEs", from.Procs(), to.Procs())
-	}
-	pat := Pattern{Volume: make(map[request.Request]int)}
-	for x := 0; x < shape[0]; x++ {
-		for y := 0; y < shape[1]; y++ {
-			for z := 0; z < shape[2]; z++ {
-				idx := [3]int{x, y, z}
-				src, dst := from.Owner(idx), to.Owner(idx)
-				if src == dst {
-					continue
-				}
-				r := request.Request{Src: network.NodeID(src), Dst: network.NodeID(dst)}
-				if _, seen := pat.Volume[r]; !seen {
-					pat.Reqs = append(pat.Reqs, r)
-				}
-				pat.Volume[r]++
-			}
-		}
-	}
-	return pat, nil
-}
-
 // RandomDist draws a random block-cyclic distribution of an array with the
 // given shape over `procs` PEs, following the paper's Table 2 recipe: the
 // processor count of each dimension is a random power-of-two factorization

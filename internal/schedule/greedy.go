@@ -35,9 +35,8 @@ func (Greedy) scheduleInto(st *CompileState, t network.Topology, reqs request.Se
 }
 
 // greedyPartition runs the Fig. 2 loop on pre-routed requests, returning
-// freshly allocated configurations. It serves the callers that keep
-// partitions alive across runs (Exact's branch-and-bound incumbent,
-// IteratedGreedy's restarts); the hot scheduling paths use the arena's
+// freshly allocated configurations. It serves Exact, whose branch-and-bound
+// incumbent outlives the run; the hot scheduling paths use the arena's
 // greedyConfigs instead.
 func greedyPartition(t network.Topology, reqs request.Set, paths []network.Path) []request.Set {
 	remaining := make([]int, len(reqs)) // indices into reqs, in order

@@ -10,8 +10,8 @@ import (
 )
 
 // This file preserves the pre-bitset, map-based scheduler core as a
-// differential-testing oracle, the same retention policy PR 2 applied to
-// the simulator: when a hot path is rewritten for speed, the readable
+// differential-testing oracle, the same retention policy the simulator
+// follows: when a hot path is rewritten for speed, the readable
 // original stays behind as the executable specification the rewrite is
 // compared against. The oracles use network.Occupancy (hash sets keyed by
 // resource) and the O(|R|^2) pairwise conflict scan; they share none of the
@@ -20,8 +20,8 @@ import (
 // cores must be byte-identical under any deterministic encoding — exactly
 // what the differential suite asserts.
 //
-// The oracles are exported for tests but are real Schedulers; nothing stops
-// a caller that values simplicity over speed from using them.
+// The oracles live in a test file, so no binary links them; they are
+// exported so the external test package can reach them.
 
 // OracleConflictGraph builds the conflict graph by testing every request
 // pair with network.Conflicts — the direct transcription of the conflict

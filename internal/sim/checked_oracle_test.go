@@ -22,7 +22,8 @@ type circuitQueue struct {
 // flits at once and that no PE injects or ejects twice. RunCompiled trusts
 // the schedule (it was validated at compile time); this variant re-verifies
 // it at "runtime", which is how the test suite catches a scheduler bug that
-// slips through static validation. It is O(path length) slower per flit.
+// slips through static validation. It is O(path length) slower per flit,
+// and lives in a test file: no binary runs it.
 func RunCompiledChecked(res *schedule.Result, msgs []Message) (*CompiledResult, error) {
 	k := res.Degree()
 	if k == 0 {

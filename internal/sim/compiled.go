@@ -235,8 +235,8 @@ func (cs *CompiledSim) runBounded(res *schedule.Result, msgs []Message, mode Mod
 // message starting at 0 finishes at u+1 + (flits-1)*K) and the run costs
 // O(messages), not O(slots). The slot-stepping engine that derives the
 // same times from the data-plane rule is kept in the tests as the
-// differential oracle; RunCompiledChecked still steps slots and checks
-// links and ports physically.
+// differential oracle, next to RunCompiledChecked, which steps slots and
+// checks links and ports physically.
 func RunCompiled(res *schedule.Result, msgs []Message) (*CompiledResult, error) {
 	return NewCompiledSim().Run(res, msgs, TDM)
 }

@@ -88,6 +88,10 @@ func TestSimulatorMatchesOracle(t *testing.T) {
 				{"forward", func(*Params) {}},
 				{"backward", func(p *Params) { p.Reservation = LockBackward }},
 				{"queued", func(p *Params) { p.ShadowQueuing = true }},
+				{"backward+queued", func(p *Params) {
+					p.Reservation = LockBackward
+					p.ShadowQueuing = true
+				}},
 				{"wdm", func(p *Params) { p.Mode = WDM }},
 			} {
 				params := DefaultParams(k)

@@ -89,6 +89,7 @@ func (s *Simulator) applyFault(f FaultEvent, now int, msgs []Message, res *Dynam
 		// Tear down the current attempt: cancel its in-flight events and
 		// return the surviving locked channels to the pool.
 		st.gen++
+		st.abort = abortIdle
 		for h, lk := range st.links {
 			if st.locked[h] == 0 {
 				continue

@@ -56,6 +56,7 @@ type oracleMsgState struct {
 	lockTime []int
 	attempts int
 	slot     int
+	abort    int
 }
 
 // runDynamicOracle executes the pre-refactor event loop.
@@ -201,9 +202,14 @@ func runDynamicOracle(top network.Topology, params Params, msgs []Message) (*Dyn
 			l := &links[st.links[e.hop]]
 			sel := uint64(1) << uint(st.slot)
 			if params.Reservation == LockBackward {
+				if st.abort != abortIdle && e.hop == len(st.links)-1 {
+					st.abort = abortAckHeld
+					continue
+				}
 				if l.free&sel == 0 {
 					res.Blocked++
 					if e.hop+1 < len(st.links) {
+						st.abort = abortWalking
 						push(e.time+hopDelay, evAbortHop, e.msg, e.hop+1)
 					}
 					push(e.time+(e.hop+1)*hopDelay+backoff(params.RetryBackoff, st.attempts, e.msg), evStart, e.msg, 0)
@@ -257,7 +263,12 @@ func runDynamicOracle(top network.Topology, params Params, msgs []Message) (*Dyn
 			st.locked[e.hop] = 0
 			if e.hop < len(st.links)-1 {
 				push(e.time+hopDelay, evAbortHop, e.msg, e.hop+1)
+				continue
 			}
+			if st.abort == abortAckHeld {
+				push(e.time, evAckHop, e.msg, e.hop)
+			}
+			st.abort = abortIdle
 		}
 	}
 	if remaining != 0 {

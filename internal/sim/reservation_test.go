@@ -105,3 +105,33 @@ func TestBackwardVsForwardUnderContention(t *testing.T) {
 		t.Error("both schemes must complete")
 	}
 }
+
+// TestBackwardQueuedAbortWalkNoLeak: under backward reservation with shadow
+// queuing, a lost ack race's abort walk can be held at busy switches until
+// the retry's ack reaches the last hop. The ack must wait for the walk;
+// locking first overwrote the stale lock and failed the run with "link 34
+// leaked channels" on P3M 2 at 64^3 and K = 2.
+func TestBackwardQueuedAbortWalkNoLeak(t *testing.T) {
+	phases, err := apps.P3M(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sim.DefaultParams(2)
+	p.Reservation = sim.LockBackward
+	p.ShadowQueuing = true
+	torus := topology.NewTorus(8, 8)
+	for _, ph := range phases[1:3] { // P3M 2 and P3M 3
+		out, err := sim.Dynamic{Topology: torus, Params: p}.Run(ph.Messages)
+		if err != nil {
+			t.Fatalf("%s: %v", ph.Name, err)
+		}
+		if out.TimedOut {
+			t.Fatalf("%s: timed out", ph.Name)
+		}
+		for i, f := range out.Finish {
+			if f == 0 {
+				t.Fatalf("%s: message %d never delivered", ph.Name, i)
+			}
+		}
+	}
+}

@@ -29,6 +29,18 @@ const (
 	stLost
 )
 
+// Abort-walk states of a message under LockBackward (simMsg.abort). A lost
+// ack race sends an abort walk forward over the hops the ack had already
+// claimed. Shadow queuing can hold that walk at busy switches until the
+// retry's ack reaches the last hop; the ack then waits there until the walk
+// has unlocked it, since locking first would overwrite (and leak) a lock the
+// walk has yet to free.
+const (
+	abortIdle    = iota // no abort walk in flight
+	abortWalking        // an abort walk is unlocking hops
+	abortAckHeld        // ... and the retry's ack waits at the last hop
+)
+
 // event is one pending protocol action. Events order by (time, seq); seq is
 // the global push counter, so ties replay in insertion order and every run
 // of the same input is identical. gen snapshots the message's generation at
@@ -58,6 +70,7 @@ type simMsg struct {
 	next     int32 // next queued message of the same source; -1 at the tail
 	gen      int32 // bumped by fault teardown; stale events are discarded
 	state    int8  // stWaiting / stActive / stDone / stLost
+	abort    int8  // abortIdle / abortWalking / abortAckHeld
 }
 
 // Simulator is a reusable engine for the dynamic-control protocol of
@@ -189,6 +202,7 @@ func (s *Simulator) run(msgs []Message, faults []FaultEvent, res *DynamicResult)
 		st.next = -1
 		st.gen = 0
 		st.state = stWaiting
+		st.abort = abortIdle
 		totalHops += len(p.Links)
 	}
 	if cap(s.locked) < totalHops {
@@ -326,6 +340,10 @@ func (s *Simulator) run(msgs []Message, faults []FaultEvent, res *DynamicResult)
 			l := &s.links[st.links[e.hop]]
 			sel := uint64(1) << uint(st.slot)
 			if s.params.Reservation == LockBackward {
+				if st.abort != abortIdle && int(e.hop) == len(st.links)-1 {
+					st.abort = abortAckHeld // re-issued by the walk's last hop
+					continue
+				}
 				// The reservation only observed availability; the ack must
 				// win the channel now and can lose the race to a
 				// competitor that acked first.
@@ -335,6 +353,7 @@ func (s *Simulator) run(msgs []Message, faults []FaultEvent, res *DynamicResult)
 					// failure point) and tell the source to retry; nothing
 					// below this hop was ever locked.
 					if int(e.hop)+1 < len(st.links) {
+						st.abort = abortWalking
 						s.push(e.time+hopDelay, evAbortHop, e.msg, e.hop+1)
 					}
 					s.push(e.time+(int(e.hop)+1)*hopDelay+backoff(s.params.RetryBackoff, st.attempts, int(e.msg)), evStart, e.msg, 0)
@@ -397,7 +416,12 @@ func (s *Simulator) run(msgs []Message, faults []FaultEvent, res *DynamicResult)
 			st.locked[e.hop] = 0
 			if int(e.hop) < len(st.links)-1 {
 				s.push(e.time+hopDelay, evAbortHop, e.msg, e.hop+1)
+				continue
 			}
+			if st.abort == abortAckHeld {
+				s.push(e.time, evAckHop, e.msg, e.hop)
+			}
+			st.abort = abortIdle
 		}
 	}
 	if remaining != 0 {
