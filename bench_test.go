@@ -643,7 +643,7 @@ func withGraphBuildKnobs(cutoff, workers int, fn func()) {
 // on per rung:
 //
 //	baseline       sequential Combined, serial graph build, routes recomputed
-//	routes-warm    + route cache serving every (s,d) lookup
+//	routes-warm    + route table serving every (s,d) lookup
 //	sharded-graph  + parallel conflict-graph row construction
 //	parallel       + Combined racing its member schedulers (the default)
 //
@@ -750,7 +750,7 @@ func BenchmarkConflictGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCachedRoute isolates the route cache itself: a warm hit versus
+// BenchmarkCachedRoute isolates the route table itself: a warm hit versus
 // recomputing the dimension-ordered route (BenchmarkTorusRoute is the
 // uncached equivalent of the miss path).
 func BenchmarkCachedRoute(b *testing.B) {

@@ -685,7 +685,7 @@ func main() {
 					if err != nil {
 						return fmt.Errorf("phase %d: %w", i, err)
 					}
-					if _, err := optics.NewTracer(sp).VerifySchedule(res.Slot); err != nil {
+					if _, err := optics.NewTracer(sp).VerifySchedule(res.Configs); err != nil {
 						return fmt.Errorf("phase %d: %w", i, err)
 					}
 				}

@@ -107,6 +107,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 // run parses the list-valued flags, then runs the selected experiment or
 // prints the selected tables, separated by blank lines.
 func (o *options) run(degrees, topk string) (err error) {
+	// The library reads a zero count as the paper default, which the table
+	// header would then misstate; a negative count is a failed run.
+	if o.trials == 0 {
+		return usageError{errors.New("-trials 0: want at least 1 pattern per row")}
+	}
+	if o.redists == 0 {
+		return usageError{errors.New("-redists 0: want at least 1 redistribution")}
+	}
 	if o.degrees, err = cliutil.ParseIntList(degrees); err != nil {
 		return usageError{err}
 	}

@@ -45,8 +45,9 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// TestFlagErrors: bad input exits 2 with a one-line error, and a negative
-// sample count is a failed run (exit 1), not a panic.
+// TestFlagErrors: bad input, a zero sample count included, exits 2 with a
+// one-line error, and a negative sample count is a failed run (exit 1),
+// not a panic.
 func TestFlagErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -56,6 +57,8 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-experiment", "bogus"}, 2},
 		{[]string{"-table", "5", "-degrees", "1,x"}, 2},
 		{[]string{"-table", "1", "-trials", "-1"}, 1},
+		{[]string{"-table", "1", "-trials", "0"}, 2},
+		{[]string{"-table", "2", "-redists", "0"}, 2},
 		{[]string{"-table", "2", "-redists", "-1"}, 1},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -67,7 +67,7 @@ func main() {
 		}
 		// Physically verify the compiled registers with the light tracer.
 		tracer := optics.NewTracer(ph.Program)
-		if _, err := tracer.VerifySchedule(ph.Schedule.Slot); err != nil {
+		if _, err := tracer.VerifySchedule(ph.Schedule.Configs); err != nil {
 			log.Fatalf("phase %s: optical verification failed: %v", ph.Phase.Name, err)
 		}
 		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t\n",

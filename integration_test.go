@@ -78,7 +78,7 @@ func TestPipelineWholeProgram(t *testing.T) {
 		// Lowered registers must deliver every scheduled circuit,
 		// physically.
 		tracer := optics.NewTracer(ph.Program)
-		if _, err := tracer.VerifySchedule(ph.Schedule.Slot); err != nil {
+		if _, err := tracer.VerifySchedule(ph.Schedule.Configs); err != nil {
 			t.Fatalf("phase %s: %v", ph.Phase.Name, err)
 		}
 		// Every slot's physically realized configuration must be exactly
@@ -180,7 +180,7 @@ func TestPublicAPISwitchProgramsAreTraceable(t *testing.T) {
 		t.Fatalf("schedule invalid: %v", err)
 	}
 	tracer := optics.NewTracer(phase.Program)
-	n, err := tracer.VerifySchedule(phase.Schedule.Slot)
+	n, err := tracer.VerifySchedule(phase.Schedule.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCompileAllMatchesSequentialCompile(t *testing.T) {
 		// The lowered registers of the batch-compiled phase must deliver
 		// every circuit, physically.
 		tracer := optics.NewTracer(batch[i].Program)
-		if _, err := tracer.VerifySchedule(batch[i].Schedule.Slot); err != nil {
+		if _, err := tracer.VerifySchedule(batch[i].Schedule.Configs); err != nil {
 			t.Fatalf("pattern %d: %v", i, err)
 		}
 	}

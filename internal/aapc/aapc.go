@@ -36,7 +36,10 @@ type Set struct {
 	// complete all-to-all request set.
 	Phases []request.Set
 
-	phaseOf map[request.Request]int
+	// n is the terminal count; phaseOf[src*n+dst] is the phase of (src,
+	// dst), -1 for a pair outside the decomposition.
+	n       int
+	phaseOf []int32
 }
 
 // NumPhases returns the number of phases in the decomposition.
@@ -46,8 +49,27 @@ func (s *Set) NumPhases() int { return len(s.Phases) }
 // the request belongs to the decomposition (it does not when r is a
 // self-loop or out of range).
 func (s *Set) PhaseOf(r request.Request) (int, bool) {
-	k, ok := s.phaseOf[r]
-	return k, ok
+	if uint(r.Src) >= uint(s.n) || uint(r.Dst) >= uint(s.n) {
+		return 0, false
+	}
+	k := s.phaseOf[int(r.Src)*s.n+int(r.Dst)]
+	return int(k), k >= 0
+}
+
+// newSet indexes phases, a partition of the all-to-all pattern on t's
+// terminals, by pair.
+func newSet(t network.Topology, phases []request.Set) *Set {
+	n := network.TerminalCount(t)
+	s := &Set{Topology: t, Phases: phases, n: n, phaseOf: make([]int32, n*n)}
+	for i := range s.phaseOf {
+		s.phaseOf[i] = -1
+	}
+	for k, phase := range phases {
+		for _, r := range phase {
+			s.phaseOf[int(r.Src)*n+int(r.Dst)] = int32(k)
+		}
+	}
+	return s
 }
 
 // Validate checks that the set is a true partition of the all-to-all
@@ -123,13 +145,7 @@ func pack(t network.Topology, ordered []orderedReq) (*Set, error) {
 			phases = append(phases, request.Set{or.req})
 		}
 	}
-	s := &Set{Topology: t, Phases: phases, phaseOf: make(map[request.Request]int)}
-	for k, phase := range phases {
-		for _, r := range phase {
-			s.phaseOf[r] = k
-		}
-	}
-	return s, nil
+	return newSet(t, phases), nil
 }
 
 // decomposeTorus builds the tight product decomposition when per-dimension
@@ -166,17 +182,14 @@ func productDecomposition(t *topology.Torus, lw, lh [][]int) (*Set, error) {
 			raw[k] = append(raw[k], request.Request{Src: network.NodeID(s), Dst: network.NodeID(d)})
 		}
 	}
-	set := &Set{Topology: t, phaseOf: make(map[request.Request]int, n*(n-1))}
+	var phases []request.Set
 	for _, phase := range raw {
 		if len(phase) == 0 {
 			continue // a phase of two identity slots carries only self pairs
 		}
-		for _, r := range phase {
-			set.phaseOf[r] = len(set.Phases)
-		}
-		set.Phases = append(set.Phases, phase)
+		phases = append(phases, phase)
 	}
-	return set, nil
+	return newSet(t, phases), nil
 }
 
 // decomposeTorusFirstFit orders all pairs by offset class, longest classes

@@ -124,3 +124,40 @@ func TestPhasesAreNonEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestPhaseOfMatchesMembership: the dense pair index answers exactly the
+// decomposition's membership for every pair, on the product, first-fit
+// torus and generic paths, and rejects self pairs and pairs with an
+// endpoint outside the terminals (negative, past the end, or an interior
+// switch of a multistage fabric).
+func TestPhaseOfMatchesMembership(t *testing.T) {
+	for _, topo := range []network.Topology{
+		topology.NewTorus(8, 8), topology.NewTorus(5, 3), topology.NewRing(7),
+		topology.NewFatTree(4), topology.NewOmega(8),
+	} {
+		set, err := Decompose(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		member := make(map[request.Request]int)
+		for k, phase := range set.Phases {
+			for _, r := range phase {
+				member[r] = k
+			}
+		}
+		n := topo.NumNodes()
+		for s := -1; s <= n; s++ {
+			for d := -1; d <= n; d++ {
+				r := request.Request{Src: network.NodeID(s), Dst: network.NodeID(d)}
+				k, ok := set.PhaseOf(r)
+				wk, wok := member[r]
+				if ok != wok || (ok && k != wk) {
+					t.Fatalf("%s: PhaseOf(%v) = %d, %v; membership %d, %v", topo.Name(), r, k, ok, wk, wok)
+				}
+			}
+		}
+		if got, want := len(member), network.TerminalCount(topo)*(network.TerminalCount(topo)-1); got != want {
+			t.Fatalf("%s: decomposition holds %d pairs, want %d", topo.Name(), got, want)
+		}
+	}
+}

@@ -23,13 +23,15 @@ import (
 // network.ErrNoRoute in its chain.
 //
 // A Masked value must be built after its failure Set is final: routes are
-// memoized per topology value by network.CachedRoute, so mutating the Set
-// of an already-routed Masked requires network.InvalidateRoutes(m).
+// memoized in the value's own route table (network.RoutesOf), so mutating
+// the Set of an already-routed Masked requires network.InvalidateRoutes(m).
 type Masked struct {
 	// Base is the healthy topology being masked.
 	Base network.Topology
 	// Faults is the failure state hidden from consumers.
 	Faults *Set
+
+	network.RouteTable // the view's memoized routes; they go with the view
 }
 
 // NewMasked wraps a topology with a failure set.
@@ -70,7 +72,7 @@ func (m *Masked) Route(src, dst network.NodeID) (network.Path, error) {
 		return network.Path{}, fmt.Errorf("%w: destination switch %d failed", network.ErrNoRoute, dst)
 	}
 	// The base topology is long-lived (many masked views of one network),
-	// so its routes come from the shared route cache; only the detours
+	// so its routes come from the base's route table; only the detours
 	// around failed resources are computed per mask.
 	p, err := network.CachedRoute(m.Base, src, dst)
 	if err == nil && !m.Faults.BlocksPath(m.Base, p) {

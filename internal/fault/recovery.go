@@ -121,7 +121,7 @@ func Recompile(m *Masked, reqs request.Set, sch schedule.Scheduler) (*schedule.R
 	if err != nil {
 		return nil, nil, fmt.Errorf("fault: lowering recompiled schedule: %w", err)
 	}
-	if _, err := optics.NewTracer(prog).VerifySchedule(res.Slot); err != nil {
+	if _, err := optics.NewTracer(prog).VerifySchedule(res.Configs); err != nil {
 		return nil, nil, fmt.Errorf("fault: light trace of recompiled schedule: %w", err)
 	}
 	return res, prog, nil
@@ -193,7 +193,7 @@ func RecoverCompiled(top network.Topology, msgs []sim.Message, plan []Event, opt
 			faults.Apply(e)
 		}
 		// The Set keeps accumulating across bursts; the masked view must be
-		// immutable once routed (the route cache keys on topology identity),
+		// immutable once routed (its route table memoizes what it routed),
 		// so each burst masks its own snapshot.
 		masked := NewMasked(top, faults.Clone())
 

@@ -114,20 +114,23 @@ func (t *Tracer) Trace(src network.NodeID, slot int) (network.NodeID, int, error
 	}
 }
 
-// VerifySchedule traces every circuit of a schedule's slot index through
-// the program and checks the light lands at the scheduled destination. It
-// returns the number of circuits verified.
-func (t *Tracer) VerifySchedule(slots map[request.Request]int) (int, error) {
+// VerifySchedule traces every circuit of a schedule's configurations
+// through the program, each in its own slot (configs[k] in slot k), and
+// checks the light lands at the scheduled destination. It returns the
+// number of circuits verified.
+func (t *Tracer) VerifySchedule(configs []request.Set) (int, error) {
 	n := 0
-	for r, slot := range slots {
-		dst, _, err := t.Trace(r.Src, slot)
-		if err != nil {
-			return n, fmt.Errorf("optics: circuit %v: %w", r, err)
+	for slot, c := range configs {
+		for _, r := range c {
+			dst, _, err := t.Trace(r.Src, slot)
+			if err != nil {
+				return n, fmt.Errorf("optics: circuit %v: %w", r, err)
+			}
+			if dst != r.Dst {
+				return n, fmt.Errorf("optics: circuit %v delivers to %d", r, dst)
+			}
+			n++
 		}
-		if dst != r.Dst {
-			return n, fmt.Errorf("optics: circuit %v delivers to %d", r, dst)
-		}
-		n++
 	}
 	return n, nil
 }

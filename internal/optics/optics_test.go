@@ -37,7 +37,7 @@ func TestLightReachesScheduledDestinations(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, tracer := compileFor(t, torus, set)
-	n, err := tracer.VerifySchedule(res.Slot)
+	n, err := tracer.VerifySchedule(res.Configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTraceOnAllTopologies(t *testing.T) {
 	for _, topo := range topos {
 		set := patterns.AllToAll(topo.NumNodes())
 		res, tracer := compileFor(t, topo, set)
-		if _, err := tracer.VerifySchedule(res.Slot); err != nil {
+		if _, err := tracer.VerifySchedule(res.Configs); err != nil {
 			t.Fatalf("%s: %v", topo.Name(), err)
 		}
 	}

@@ -121,3 +121,48 @@ func TestRoutes(t *testing.T) {
 		t.Error("Routes accepted a self-loop")
 	}
 }
+
+// oracleDedup is the map-based Dedup the radix version replaced: a seen set,
+// first occurrence kept in place.
+func oracleDedup(s request.Set) request.Set {
+	seen := make(map[request.Request]struct{}, len(s))
+	out := make(request.Set, 0, len(s))
+	for _, r := range s {
+		if _, ok := seen[r]; ok {
+			continue
+		}
+		seen[r] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
+// FuzzDedup holds Dedup to the map oracle, first-occurrence order
+// included. Each 4-byte chunk is one request; the chunk's high bits reach
+// multi-byte and negative node ids, so every radix pass width is taken.
+func FuzzDedup(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 1, 0, 2, 0})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 255, 255, 255, 255})
+	f.Add([]byte{7, 200, 9, 3, 9, 3, 7, 200, 7, 200, 9, 3, 128, 0, 0, 5})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var s request.Set
+		for i := 0; i+3 < len(raw); i += 4 {
+			src := int(int8(raw[i+1]))<<8 | int(raw[i])
+			dst := int(int8(raw[i+3]))<<8 | int(raw[i+2])
+			if raw[i+1]&0x40 != 0 {
+				src <<= 24
+			}
+			s = append(s, request.Request{Src: network.NodeID(src), Dst: network.NodeID(dst)})
+		}
+		got, want := s.Dedup(), oracleDedup(s)
+		if len(got) != len(want) {
+			t.Fatalf("Dedup kept %d requests, oracle %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("request %d: Dedup %v, oracle %v", i, got[i], want[i])
+			}
+		}
+	})
+}

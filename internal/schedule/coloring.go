@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/network"
@@ -70,11 +71,12 @@ func (c Coloring) scheduleInto(st *CompileState, t network.Topology, reqs reques
 	for i := 0; i < n; i++ {
 		uncoloredDeg[i] = g.Degree(i)
 	}
-	st.colored = growZero(st.colored, n)
-	colored := st.colored
+	words := g.Words()
+	st.colored = growZero(st.colored, words)
+	colored := st.colored // bit v set once vertex v is colored
 
 	st.resetConfigs(n)
-	st.blocked = grow(st.blocked, g.Words())
+	st.blocked = grow(st.blocked, words)
 	blocked := st.blocked
 	st.cand = grow(st.cand, n)
 	st.ordered = grow(st.ordered, n)
@@ -97,9 +99,13 @@ func (c Coloring) scheduleInto(st *CompileState, t network.Topology, reqs reques
 		// pass over the ascending-id candidate list lands each degree
 		// class in id order.
 		cand := st.cand[:0]
-		for v := 0; v < n; v++ {
-			if !colored[v] {
-				cand = append(cand, v)
+		for w, word := range colored {
+			free := ^word
+			if w == words-1 && n%64 != 0 {
+				free &= 1<<uint(n%64) - 1
+			}
+			for ; free != 0; free &= free - 1 {
+				cand = append(cand, w*64+bits.TrailingZeros64(free))
 			}
 		}
 		round := cand
@@ -154,16 +160,18 @@ func (c Coloring) scheduleInto(st *CompileState, t network.Topology, reqs reques
 			}
 			inConfig = append(inConfig, v)
 			st.push(reqs[v])
-			colored[v] = true
+			colored[v/64] |= 1 << uint(v%64)
 			g.OrInto(blocked, v)
 		}
-		// Update degrees in the uncolored subgraph (line 14 of Fig. 4).
+		// Update degrees in the uncolored subgraph (line 14 of Fig. 4): a
+		// word of each new color's row at a time, uncolored neighbours
+		// only.
 		for _, v := range inConfig {
-			g.Neighbors(v, func(u int) {
-				if !colored[u] {
-					uncoloredDeg[u]--
+			for w, word := range g.rows[v] {
+				for word &^= colored[w]; word != 0; word &= word - 1 {
+					uncoloredDeg[w*64+bits.TrailingZeros64(word)]--
 				}
-			})
+			}
 		}
 		remaining -= len(inConfig)
 		st.endConfig()

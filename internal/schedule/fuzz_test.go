@@ -220,3 +220,86 @@ func FuzzCombinedParallelDeterminism(f *testing.F) {
 		}
 	})
 }
+
+// FuzzValidate differentially fuzzes Result.Validate against the map-based
+// OracleValidate. raw[0] picks a corruption of a valid greedy schedule:
+// none, a duplicated, missing or extraneous request, a request moved into a
+// configuration it conflicts with, an empty configuration, a duplicated or
+// out-of-range wanted request, or a self-loop; the rest of raw is the
+// request set on a 4x4 torus. Both checks must accept or reject alike, and
+// both must reject every corruption.
+func FuzzValidate(f *testing.F) {
+	for c := byte(0); c < 9; c++ {
+		f.Add(append([]byte{c}, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 5, 9, 9, 5))
+	}
+	f.Add([]byte{1, 4, 9, 4, 9, 4, 9})
+	f.Add([]byte{4, 0, 15, 0, 14, 1, 15, 3, 12})
+	f.Add([]byte{7})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		if len(raw) > 301 {
+			raw = raw[:301]
+		}
+		corruption, body := raw[0]%9, raw[1:]
+		torus := topology.NewTorus(4, 4)
+		var set request.Set
+		for i := 0; i+1 < len(body); i += 2 {
+			s, d := network.NodeID(body[i]%16), network.NodeID(body[i+1]%16)
+			if s != d {
+				set = append(set, request.Request{Src: s, Dst: d})
+			}
+		}
+		res, err := schedule.Greedy{}.Schedule(torus, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		configs := make([]request.Set, len(res.Configs))
+		for k, c := range res.Configs {
+			configs[k] = c.Clone()
+		}
+		reqs := set.Clone()
+		last := len(configs) - 1
+		applied := true
+		switch corruption {
+		case 0:
+			applied = false
+		case 1: // a request scheduled twice
+			if applied = last >= 0; applied {
+				configs = append(configs, request.Set{configs[0][0]})
+			}
+		case 2: // a request missing
+			if applied = last >= 0; applied {
+				configs[last] = configs[last][:len(configs[last])-1]
+			}
+		case 3: // an extraneous request
+			configs = append(configs, request.Set{{Src: 3, Dst: 7}})
+		case 4: // a request moved next to one it conflicts with
+			if applied = last >= 1; applied {
+				q := configs[last][0]
+				configs[last] = configs[last][1:]
+				configs[0] = append(configs[0], q)
+			}
+		case 5: // an empty configuration
+			configs = append(configs, request.Set{})
+		case 6: // a wanted request duplicated
+			if applied = len(reqs) > 0; applied {
+				reqs = append(reqs, reqs[len(reqs)-1])
+			}
+		case 7: // a wanted request outside the topology
+			reqs = append(reqs, request.Request{Src: 16, Dst: -1})
+		case 8: // a self-loop scheduled and wanted
+			configs = append(configs, request.Set{{Src: 2, Dst: 2}})
+			reqs = append(reqs, request.Request{Src: 2, Dst: 2})
+		}
+		bad := &schedule.Result{Algorithm: res.Algorithm, Topology: torus, Configs: configs}
+		gotErr, wantErr := bad.Validate(reqs), schedule.OracleValidate(bad, reqs)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("corruption %d: Validate = %v, oracle = %v", corruption, gotErr, wantErr)
+		}
+		if applied && gotErr == nil {
+			t.Fatalf("corruption %d accepted by both checks", corruption)
+		}
+	})
+}

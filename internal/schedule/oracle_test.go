@@ -333,3 +333,43 @@ func OracleExtend(r *Result, extra request.Set) (*Result, error) {
 	}
 	return newResult(r.Algorithm+"+extend", r.Topology, configs), nil
 }
+
+// OracleValidate is Result.Validate as it stood before it moved to the
+// route table and a bit occupancy: a hash-set occupancy per configuration,
+// routes from the topology itself and two multiset maps. FuzzValidate
+// holds the two to the same verdict.
+func OracleValidate(r *Result, reqs request.Set) error {
+	want := make(map[request.Request]int, len(reqs))
+	for _, q := range reqs {
+		want[q]++
+	}
+	got := make(map[request.Request]int, len(reqs))
+	for k, c := range r.Configs {
+		if len(c) == 0 {
+			return fmt.Errorf("schedule: configuration %d is empty", k)
+		}
+		occ := network.NewOccupancy()
+		for _, q := range c {
+			p, err := r.Topology.Route(q.Src, q.Dst)
+			if err != nil {
+				return fmt.Errorf("schedule: config %d request %v: %w", k, q, err)
+			}
+			if !occ.CanAdd(p) {
+				return fmt.Errorf("schedule: config %d has conflicting request %v", k, q)
+			}
+			occ.Add(p)
+			got[q]++
+		}
+	}
+	for q, n := range want {
+		if got[q] != n {
+			return fmt.Errorf("schedule: request %v scheduled %d times, want %d", q, got[q], n)
+		}
+	}
+	for q, n := range got {
+		if want[q] != n {
+			return fmt.Errorf("schedule: extraneous request %v scheduled %d times", q, n)
+		}
+	}
+	return nil
+}

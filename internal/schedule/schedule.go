@@ -36,7 +36,9 @@ type Result struct {
 	// Configs partitions the requests; Configs[k] is established during
 	// time slot k of every TDM frame.
 	Configs []request.Set
-	// Slot maps each request to the index of its configuration.
+	// Slot maps each request to the index of its configuration. Results
+	// owned by a CompileState leave it nil (read Configs); detached,
+	// decoded and hand-built Results fill it.
 	Slot map[request.Request]int
 }
 
@@ -66,28 +68,36 @@ func newResult(alg string, t network.Topology, configs []request.Set) *Result {
 
 // Validate checks that the schedule is correct: every request of the
 // original set appears in exactly one configuration, no configuration is
-// empty, and no two connections within a configuration conflict.
+// empty, and no two connections within a configuration conflict. Routes
+// come from the topology's route table and each configuration is checked
+// on one reused bit occupancy; the two request multisets are compared as
+// maps.
 func (r *Result) Validate(reqs request.Set) error {
 	want := make(map[request.Request]int, len(reqs))
 	for _, q := range reqs {
 		want[q]++
 	}
 	got := make(map[request.Request]int, len(reqs))
-	for k, c := range r.Configs {
-		if len(c) == 0 {
-			return fmt.Errorf("schedule: configuration %d is empty", k)
-		}
-		occ := network.NewOccupancy()
-		for _, q := range c {
-			p, err := network.CachedRoute(r.Topology, q.Src, q.Dst)
-			if err != nil {
-				return fmt.Errorf("schedule: config %d request %v: %w", k, q, err)
+	if len(r.Configs) > 0 {
+		var occ network.BitOccupancy
+		occ.Bind(r.Topology)
+		rs := network.RoutesOf(r.Topology)
+		for k, c := range r.Configs {
+			if len(c) == 0 {
+				return fmt.Errorf("schedule: configuration %d is empty", k)
 			}
-			if !occ.CanAdd(p) {
-				return fmt.Errorf("schedule: config %d has conflicting request %v", k, q)
+			occ.Reset()
+			for _, q := range c {
+				p, err := rs.Route(q.Src, q.Dst)
+				if err != nil {
+					return fmt.Errorf("schedule: config %d request %v: %w", k, q, err)
+				}
+				if !occ.CanAdd(p) {
+					return fmt.Errorf("schedule: config %d has conflicting request %v", k, q)
+				}
+				occ.Add(p)
+				got[q]++
 			}
-			occ.Add(p)
-			got[q]++
 		}
 	}
 	for q, n := range want {

@@ -53,7 +53,7 @@ type CompileState struct {
 
 	// Coloring scratch.
 	uncoloredDeg []int
-	colored      []bool
+	colored      []uint64 // bitset of the vertices colored so far
 	blocked      []uint64
 	cand         []int
 	ordered      []int
@@ -80,8 +80,7 @@ type CompileState struct {
 	loadDst  []int
 
 	// Result arena: all configurations share one backing array, sliced into
-	// per-slot windows; the Slot map is cleared and refilled, which Go maps
-	// do without allocating once the buckets exist.
+	// per-slot windows. The arena Result has no Slot map (see finish).
 	cfgBack  request.Set
 	cfgStart int
 	cfgs     []request.Set
@@ -104,7 +103,8 @@ var statePool = sync.Pool{New: func() any { return NewCompileState() }}
 // Compile schedules reqs on t with scheduler s inside the arena. For the
 // paper's heuristics (Greedy, Coloring, OrderedAAPC, Combined) the returned
 // Result is owned by the state: it is valid until the next Compile on the
-// same state, and scheduling steady-state is allocation-free. Any other
+// same state, it carries no Slot index (read Configs), and scheduling
+// steady-state is allocation-free. Any other
 // Scheduler falls back to its own Schedule method and returns an
 // independent Result.
 func (st *CompileState) Compile(s Scheduler, t network.Topology, reqs request.Set) (*Result, error) {
@@ -136,11 +136,13 @@ func pooledSchedule(s Scheduler, t network.Topology, reqs request.Set) (*Result,
 	return out, nil
 }
 
-// detach deep-copies an arena-owned Result into independently owned memory.
+// detach deep-copies an arena-owned Result into independently owned memory
+// and builds its Slot index from the configurations.
 func (r *Result) detach() *Result {
 	out := &Result{Algorithm: r.Algorithm, Topology: r.Topology}
+	var back request.Set
 	if len(r.Configs) > 0 {
-		back := make(request.Set, 0, r.NumRequests())
+		back = make(request.Set, 0, r.NumRequests())
 		out.Configs = make([]request.Set, len(r.Configs))
 		for k, c := range r.Configs {
 			start := len(back)
@@ -148,9 +150,11 @@ func (r *Result) detach() *Result {
 			out.Configs[k] = back[start:len(back):len(back)]
 		}
 	}
-	out.Slot = make(map[request.Request]int, len(r.Slot))
-	for q, s := range r.Slot {
-		out.Slot[q] = s
+	out.Slot = make(map[request.Request]int, len(back))
+	for k, c := range out.Configs {
+		for _, q := range c {
+			out.Slot[q] = k
+		}
 	}
 	return out
 }
@@ -160,15 +164,16 @@ func (st *CompileState) bind(t network.Topology) {
 	st.nl, st.nn = t.NumLinks(), t.NumNodes()
 }
 
-// routes fills the arena's path slice from the process-wide route cache;
+// routes fills the arena's path slice from the topology's route table;
 // same error contract as request.Set.Routes.
 func (st *CompileState) routes(t network.Topology, reqs request.Set) ([]network.Path, error) {
 	if cap(st.paths) < len(reqs) {
 		st.paths = make([]network.Path, 0, len(reqs))
 	}
 	st.paths = st.paths[:0]
+	rs := network.RoutesOf(t)
 	for _, r := range reqs {
-		p, err := network.CachedRoute(t, r.Src, r.Dst)
+		p, err := rs.Route(r.Src, r.Dst)
 		if err != nil {
 			return nil, fmt.Errorf("request %v: %w", r, err)
 		}
@@ -215,7 +220,9 @@ func (st *CompileState) endConfig() {
 	st.cfgs = append(st.cfgs, st.cfgBack[st.cfgStart:end:end])
 }
 
-// finish assembles the arena Result, refilling the reused Slot map.
+// finish assembles the arena Result. It carries no Slot index: an arena
+// Result is read through Configs, and detach builds the index once for the
+// Result that leaves the arena.
 func (st *CompileState) finish(alg string, t network.Topology) *Result {
 	st.res.Algorithm = alg
 	st.res.Topology = t
@@ -223,16 +230,6 @@ func (st *CompileState) finish(alg string, t network.Topology) *Result {
 		st.res.Configs = nil
 	} else {
 		st.res.Configs = st.cfgs
-	}
-	if st.res.Slot == nil {
-		st.res.Slot = make(map[request.Request]int, len(st.cfgBack))
-	} else {
-		clear(st.res.Slot)
-	}
-	for k, c := range st.cfgs {
-		for _, q := range c {
-			st.res.Slot[q] = k
-		}
 	}
 	return &st.res
 }

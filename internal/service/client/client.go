@@ -485,7 +485,6 @@ func Verify(doc trace.Document, res *service.Result) error {
 			set.FailNode(network.NodeID(n))
 		}
 		topo = fault.NewMasked(base, set)
-		defer network.InvalidateRoutes(topo)
 	}
 	if len(res.Phases) != len(doc.Phases) {
 		return fmt.Errorf("client: verify: result has %d phases, trace has %d", len(res.Phases), len(doc.Phases))

@@ -107,22 +107,27 @@ func TestSplicedEnvelope(t *testing.T) {
 }
 
 // TestNamedTopologySharesRouteCache posts 100 cache misses that name the
-// daemon's own topology: they must share its instance, not each route on a
-// fresh one, which would fill the process-wide route cache until it resets
-// every table — the daemon's own included.
+// same topology: they must share one instance, and with it one route
+// table, not each route on a fresh one.
 func TestNamedTopologySharesRouteCache(t *testing.T) {
 	s := newWhiteboxServer(t, Config{})
 	if rec := postTrace(s, "/compile", traceBody(t, "own")); rec.Code != 200 {
 		t.Fatalf("compile answered %d", rec.Code)
 	}
-	before, _ := network.RouteCacheStats()
+	var shared network.Topology
 	for i := 0; i < 100; i++ {
 		rec := postTrace(s, "/compile?topology=torus-4x4", traceBody(t, fmt.Sprintf("named-%d", i)))
 		if rec.Code != 200 || !bytes.Contains(rec.Body.Bytes(), []byte(`"cache":"miss"`)) {
 			t.Fatalf("request %d: %d %s", i, rec.Code, rec.Body.String())
 		}
-		if n, _ := network.RouteCacheStats(); n < before || n > before+1 {
-			t.Fatalf("after %d named requests the route cache holds %d topologies, had %d", i+1, n, before)
+		view, err := s.views.named("torus-4x4")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared == nil {
+			shared = view
+		} else if view != shared {
+			t.Fatalf("after %d named requests the view is a new instance", i+1)
 		}
 	}
 }

@@ -35,9 +35,9 @@ const maxBaseCandidates = 32
 
 // maxViews bounds the topology-view table: besides the daemon's own
 // topology it keeps the handful of named topologies (?topology=) and fault
-// masks requests are actively using, with their warm route caches, instead
-// of building a cold instance per request. Evicted views release their
-// route-cache entry, so the process-wide cache cannot churn without bound.
+// masks requests are actively using, with their warm route tables, instead
+// of building a cold instance per request. An evicted view's route table
+// goes with it.
 const maxViews = 8
 
 // maxSpellings bounds the table of topology spellings that are not a
@@ -48,18 +48,18 @@ const maxSpellings = 64
 // string for a masked view ("" for the healthy topology).
 type viewKey struct{ topo, faults string }
 
-// viewCache is the daemon's table of topology instances. The route cache
-// keys its tables by instance and resets them all when too many appear, so
-// every request naming a topology or a fault mask must share one instance
-// of it. Views are read-only after construction, so concurrent requests
-// share them freely.
+// viewCache is the daemon's table of topology instances. Each instance
+// carries its own route table, so every request naming a topology or a
+// fault mask shares one instance of it and routes on a warm table. Views
+// are read-only after construction, so concurrent requests share them
+// freely.
 type viewCache struct {
 	mu  sync.Mutex
 	own viewKey // the daemon's own topology, never evicted
 	m   map[viewKey]network.Topology
 	// canon maps a spelling other than a canonical name to the name it
 	// parses to. It names views, never holds them, so each view has one
-	// key in m and evicting it invalidates routes nothing else reaches.
+	// key in m and evicting it drops the only reference the table holds.
 	canon map[string]string
 }
 
@@ -120,9 +120,8 @@ func (c *viewCache) masked(topoName string, topo network.Topology, faults *fault
 // the table is full. Caller holds mu.
 func (c *viewCache) insert(k viewKey, t network.Topology) {
 	for len(c.m) > maxViews { // rare: more live views than the cap
-		for victimKey, victim := range c.m {
+		for victimKey := range c.m {
 			if victimKey != c.own {
-				network.InvalidateRoutes(victim)
 				delete(c.m, victimKey)
 				break
 			}

@@ -146,7 +146,7 @@ type Server struct {
 	deltaBound float64
 	reconfig   core.ReconfigCost
 
-	// views shares topology instances (and their route caches) across
+	// views shares topology instances (and their route tables) across
 	// requests naming the same topology or the same fault mask.
 	views *viewCache
 
@@ -479,53 +479,39 @@ func compareMessages(a, b sim.Message) int {
 }
 
 // sortScratch holds the buffers sortMessages sorts through.
-var sortScratch = sync.Pool{New: func() any { return new([]sim.Message) }}
+type sortBufs struct {
+	keys []request.PairKey
+	msgs []sim.Message
+}
+
+var sortScratch = sync.Pool{New: func() any { return new(sortBufs) }}
 
 // sortMessages puts messages with non-negative endpoints in canonical
-// order. It is a stable least-significant-digit radix sort on (src, dst),
-// one counting pass per byte the largest dst and then the largest src
-// need, after which each run of equal (src, dst) is sorted by (start,
-// flits). It needs a pooled buffer of one message per message and 256
+// order: request.SortPairs's stable radix sort on (src, dst), after which
+// each run of equal (src, dst) is sorted by (start, flits). It needs
+// pooled buffers of two keys and one message per message and 256
 // counters, whatever the topology's size.
 func sortMessages(msgs []sim.Message) {
-	buf := sortScratch.Get().(*[]sim.Message)
+	buf := sortScratch.Get().(*sortBufs)
 	defer sortScratch.Put(buf)
-	if cap(*buf) < len(msgs) {
-		*buf = make([]sim.Message, len(msgs))
+	n := len(msgs)
+	if cap(buf.keys) < 2*n {
+		buf.keys = make([]request.PairKey, 2*n)
+		buf.msgs = make([]sim.Message, n)
 	}
-	scratch := (*buf)[:len(msgs)]
-	var srcBits, dstBits uint
-	for _, m := range msgs {
-		srcBits |= uint(m.Src)
-		dstBits |= uint(m.Dst)
+	keys := buf.keys[:n]
+	for i, m := range msgs {
+		keys[i] = request.PairKey{Src: uint(m.Src), Dst: uint(m.Dst), At: int32(i)}
 	}
-	from, to := msgs, scratch
-	pass := func(key func(sim.Message) uint, shift uint) {
-		var start [256]int
-		for _, m := range from {
-			start[key(m)>>shift&0xff]++
-		}
-		at := 0
-		for b, c := range start {
-			start[b], at = at, at+c
-		}
-		for _, m := range from {
-			b := key(m) >> shift & 0xff
-			to[start[b]] = m
-			start[b]++
-		}
-		from, to = to, from
+	request.SortPairs(keys, buf.keys[n:2*n])
+	sorted := buf.msgs[:n]
+	for k, key := range keys {
+		sorted[k] = msgs[key.At]
 	}
-	for shift := uint(0); dstBits>>shift != 0; shift += 8 {
-		pass(func(m sim.Message) uint { return uint(m.Dst) }, shift)
-	}
-	for shift := uint(0); srcBits>>shift != 0; shift += 8 {
-		pass(func(m sim.Message) uint { return uint(m.Src) }, shift)
-	}
-	copy(msgs, from) // a no-op after an even number of passes
-	for i := 0; i < len(msgs); {
+	copy(msgs, sorted)
+	for i := 0; i < n; {
 		j := i + 1
-		for j < len(msgs) && msgs[j].Src == msgs[i].Src && msgs[j].Dst == msgs[i].Dst {
+		for j < n && msgs[j].Src == msgs[i].Src && msgs[j].Dst == msgs[i].Dst {
 			j++
 		}
 		if j-i > 1 {
@@ -846,7 +832,7 @@ func (s *Server) verifiedPhase(p *parsedRequest, view network.Topology, ph core.
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err := optics.NewTracer(prog).VerifySchedule(res.Slot); err != nil {
+	if _, err := optics.NewTracer(prog).VerifySchedule(res.Configs); err != nil {
 		return nil, 0, err
 	}
 	out, err := sim.RunCompiled(res, ph.Messages)

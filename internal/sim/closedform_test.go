@@ -78,28 +78,45 @@ func TestCompiledSimMatchesStepper(t *testing.T) {
 }
 
 // handSchedule is a degree-k schedule that assigns circuit c (PE c to PE
-// c+1 of a 17-PE ring) the TDM slot slots[c] mod k. The engines never
-// check conflicts, so any slot assignment is a valid input.
+// c+1 of a 17-PE ring) the TDM slot u = (slots[c] mod 128) mod k. A slot
+// byte of 128 or more also schedules the pair in configuration (u+1) mod k
+// when k > 1, and its Slot names the later of the two, as a Slot index
+// built from Configs does. The engines never check conflicts, so any slot
+// assignment is a valid input.
 func handSchedule(k int, slots []byte) *schedule.Result {
 	res := &schedule.Result{Configs: make([]request.Set, k), Slot: make(map[request.Request]int)}
-	for c, u := range slots {
+	for c, b := range slots {
 		r := request.Request{Src: nodeID(c), Dst: nodeID(c + 1)}
-		res.Configs[int(u)%k] = append(res.Configs[int(u)%k], r)
-		res.Slot[r] = int(u) % k
+		u := int(b&127) % k
+		in := []int{u}
+		if b >= 128 && k > 1 {
+			in = append(in, (u+1)%k)
+		}
+		for _, v := range in {
+			res.Configs[v] = append(res.Configs[v], r)
+			res.Slot[r] = max(res.Slot[r], v)
+		}
 	}
 	return res
 }
 
 // FuzzCompiledSim holds the closed-form engine equal to the slot stepper
-// on arbitrary schedules: degree, slot assignment, repeated circuits,
-// starts, flit counts, message order, mode and RunUntil's stop all come
-// from the input. Each 3-byte chunk of msgs is one message: circuit, start
-// (scaled by the chunk's top bits) and flits.
+// on arbitrary schedules: degree, slot assignment, pairs scheduled in two
+// configurations, several messages per circuit, starts, flit counts,
+// message order, mode and RunUntil's stop all come from the input. Each
+// 3-byte chunk of msgs is one message: circuit, start (scaled by the
+// chunk's top bits) and flits. A circuit byte of 128 or
+// more names a pair the schedule lacks: the circuit reversed when even, a
+// destination outside every scheduled node when odd.
 func FuzzCompiledSim(f *testing.F) {
 	f.Add(uint8(1), false, uint16(0), []byte{0}, []byte{0, 0, 9})
 	f.Add(uint8(4), false, uint16(7), []byte{0, 1, 2, 3}, []byte{0, 0, 3, 1, 2, 1, 0, 5, 2, 3, 0, 0})
 	f.Add(uint8(3), true, uint16(5), []byte{2, 0, 1}, []byte{1, 9, 4, 1, 0, 2, 0, 200, 7})
 	f.Add(uint8(64), false, uint16(300), []byte{63, 0, 17, 5, 5, 9}, []byte{5, 255, 131, 3, 4, 40, 0, 1, 1, 5, 0, 30})
+	f.Add(uint8(2), false, uint16(3), []byte{0, 1}, []byte{0, 0, 2, 128, 0, 1})                        // unscheduled pair
+	f.Add(uint8(2), true, uint16(3), []byte{0, 1, 1}, []byte{1, 0, 2, 0, 1, 1, 129, 0, 1, 2, 0, 3})    // out-of-range node
+	f.Add(uint8(2), false, uint16(6), []byte{128, 2, 129}, []byte{0, 0, 3, 2, 1, 2, 0, 4, 1, 1, 0, 2}) // pairs in configs 0,1 and 1,2
+	f.Add(uint8(2), false, uint16(2), []byte{130, 0}, []byte{0, 0, 5, 1, 0, 1, 0, 1, 2})               // a pair in configs 2 and 0
 	f.Fuzz(func(t *testing.T, degree uint8, wdm bool, stop uint16, slots, data []byte) {
 		k := 1 + int(degree)%64
 		if len(slots) == 0 || len(slots) > 16 || len(data) > 3*64 {
@@ -108,9 +125,16 @@ func FuzzCompiledSim(f *testing.F) {
 		res := handSchedule(k, slots)
 		var msgs []Message
 		for i := 0; i+2 < len(data); i += 3 {
-			c := int(data[i]) % len(slots)
+			c := int(data[i]&127) % len(slots)
+			src, dst := c, c+1
+			if data[i] >= 128 {
+				src, dst = c+1, c
+				if data[i]&1 != 0 {
+					src, dst = c, 1000
+				}
+			}
 			start := int(data[i+1]) << (data[i+2] >> 5)
-			msgs = append(msgs, Message{Src: c, Dst: c + 1, Flits: 1 + int(data[i+2]&31), Start: start})
+			msgs = append(msgs, Message{Src: src, Dst: dst, Flits: 1 + int(data[i+2]&31), Start: start})
 		}
 		mode := TDM
 		if wdm {
@@ -118,4 +142,34 @@ func FuzzCompiledSim(f *testing.F) {
 		}
 		compareWithStepper(t, "fuzz", res, msgs, mode, int(stop))
 	})
+}
+
+// TestCompiledSimWarmAllocs: after a warm-up run, RunInto on a reused
+// engine and result touches no heap: the source buckets and circuit
+// arrays are reused, and no map is built per run.
+func TestCompiledSimWarmAllocs(t *testing.T) {
+	torus := topology.NewTorus(8, 8)
+	set, err := patterns.Hypercube(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := schedule.Combined{}.Schedule(torus, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs []Message
+	for i, r := range set {
+		msgs = append(msgs, Message{Src: int(r.Src), Dst: int(r.Dst), Flits: 1 + i%5, Start: i % 3})
+	}
+	cs := NewCompiledSim()
+	var out CompiledResult
+	run := func() {
+		if err := cs.RunInto(res, msgs, TDM, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("warm RunInto allocates %.1f objects/run, want 0", allocs)
+	}
 }

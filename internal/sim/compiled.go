@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
-	"repro/internal/request"
 	"repro/internal/schedule"
 )
 
@@ -35,24 +35,31 @@ const maxSlot = 1 << 40
 // O(messages) whatever the degree, flit counts or start times. Messages of
 // one circuit serialize in start order; a TDM circuit moves one flit in
 // its slot of every frame, a WDM circuit one flit every slot. The engine
-// owns flat preallocated arrays (per-circuit message windows, per-message
-// scratch), so repeated runs reuse the same storage.
+// reads the schedule's Configs (not its Slot index) and finds each
+// message's circuit by bucketing both sides by source, with no hashing, in
+// O(messages + scheduled requests + nodes). It owns flat preallocated
+// arrays, so repeated runs reuse the same storage.
 //
 // A CompiledSim is NOT safe for concurrent use; give each sweep worker its
 // own.
 type CompiledSim struct {
-	idx       map[request.Request]int32 // circuit index per (src, dst)
-	slots     []int32                   // per circuit: assigned TDM slot
-	qend      []int32                   // per circuit: end of its window of order
-	order     []int32                   // message indices grouped by circuit, start-ordered
-	circuitOf []int32                   // per message: its circuit
-	remaining []int                     // per message: flits undelivered at RunUntil's stop
+	reqStart []int32 // per source: end of its window of reqDst/reqSlot
+	reqDst   []int32 // scheduled requests bucketed by source, in config order
+	reqSlot  []int32 // their TDM slots; a representative's holds its pair's last
+	msgStart []int32 // per source: end of its window of msgOrder
+	msgOrder []int32 // message indices bucketed by source
+	rep      []int32 // per destination: the representative request of (s, d) while s resolves, else -1
+	circOf   []int32 // per request: circuit+1 of the pair it represents, 0 before first use
+
+	slots     []int32 // per circuit: assigned TDM slot
+	qend      []int32 // per circuit: end of its window of order
+	order     []int32 // message indices grouped by circuit, start-ordered
+	circuitOf []int32 // per message: its circuit (its pair's representative request, -1 if none, while circuits resolves)
+	remaining []int   // per message: flits undelivered at RunUntil's stop
 }
 
 // NewCompiledSim returns an empty reusable compiled-communication engine.
-func NewCompiledSim() *CompiledSim {
-	return &CompiledSim{idx: make(map[request.Request]int32)}
-}
+func NewCompiledSim() *CompiledSim { return new(CompiledSim) }
 
 // Run executes the compiled data plane into a fresh result.
 func (cs *CompiledSim) Run(res *schedule.Result, msgs []Message, mode Mode) (*CompiledResult, error) {
@@ -70,6 +77,13 @@ func grow(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
+}
+
+// growZero is grow with every element zeroed.
+func growZero(buf []int32, n int) []int32 {
+	buf = grow(buf, n)
+	clear(buf)
+	return buf
 }
 
 // RunInto is Run with a caller-owned result; out and every internal buffer
@@ -120,27 +134,8 @@ func (cs *CompiledSim) runBounded(res *schedule.Result, msgs []Message, mode Mod
 		return 0, fmt.Errorf("sim: empty schedule")
 	}
 
-	// Assign a dense circuit index to every distinct (src, dst) and record
-	// each message's circuit.
-	clear(cs.idx)
-	cs.slots = cs.slots[:0]
-	cs.circuitOf = grow(cs.circuitOf, len(msgs))
-	for i, m := range msgs {
-		if err := m.validate(); err != nil {
-			return 0, err
-		}
-		r := request.Request{Src: nodeID(m.Src), Dst: nodeID(m.Dst)}
-		c, ok := cs.idx[r]
-		if !ok {
-			u, scheduled := res.Slot[r]
-			if !scheduled {
-				return 0, fmt.Errorf("sim: message %d->%d has no circuit in the compiled schedule", m.Src, m.Dst)
-			}
-			c = int32(len(cs.slots))
-			cs.slots = append(cs.slots, int32(u))
-			cs.idx[r] = c
-		}
-		cs.circuitOf[i] = c
+	if err := cs.circuits(res, msgs); err != nil {
+		return 0, err
 	}
 	nc := len(cs.slots)
 
@@ -223,6 +218,114 @@ func (cs *CompiledSim) runBounded(res *schedule.Result, msgs []Message, mode Mod
 	return unfinished, nil
 }
 
+// circuits numbers every distinct (src, dst) of msgs in order of first
+// appearance, records each message's circuit in cs.circuitOf and each
+// circuit's TDM slot in cs.slots — the last configuration that schedules
+// the pair, as a Slot index built from Configs holds. Errors follow input
+// order: the first message that is invalid or has no circuit is reported.
+// No topology has a negative node, so a pair with a negative endpoint has
+// no circuit.
+func (cs *CompiledSim) circuits(res *schedule.Result, msgs []Message) error {
+	nb := 0 // node bound: every scheduled endpoint is below it
+	for _, c := range res.Configs {
+		for _, q := range c {
+			nb = max(nb, int(q.Src)+1, int(q.Dst)+1)
+		}
+	}
+	// Bucket the scheduled requests by source, stably.
+	cs.reqStart = growZero(cs.reqStart, nb+1)
+	for _, c := range res.Configs {
+		for _, q := range c {
+			if q.Src >= 0 && q.Dst >= 0 {
+				cs.reqStart[q.Src+1]++
+			}
+		}
+	}
+	for v := 1; v <= nb; v++ {
+		cs.reqStart[v] += cs.reqStart[v-1]
+	}
+	nreq := int(cs.reqStart[nb])
+	cs.reqDst, cs.reqSlot = grow(cs.reqDst, nreq), grow(cs.reqSlot, nreq)
+	for k, c := range res.Configs {
+		for _, q := range c {
+			if q.Src >= 0 && q.Dst >= 0 {
+				j := cs.reqStart[q.Src]
+				cs.reqDst[j], cs.reqSlot[j] = int32(q.Dst), int32(k)
+				cs.reqStart[q.Src]++
+			}
+		}
+	}
+	// Bucket the messages by source; those with an endpoint outside
+	// [0, nb), self-loops included, have no circuit.
+	cs.msgStart = growZero(cs.msgStart, nb+1)
+	cs.circuitOf = grow(cs.circuitOf, len(msgs))
+	bad := len(msgs) // first invalid message
+	for i, m := range msgs {
+		cs.circuitOf[i] = -1
+		if bad == len(msgs) && m.validate() != nil {
+			bad = i
+		}
+		if uint(m.Src) < uint(nb) && uint(m.Dst) < uint(nb) {
+			cs.msgStart[m.Src+1]++
+		}
+	}
+	for v := 1; v <= nb; v++ {
+		cs.msgStart[v] += cs.msgStart[v-1]
+	}
+	cs.msgOrder = grow(cs.msgOrder, int(cs.msgStart[nb]))
+	for i, m := range msgs {
+		if uint(m.Src) < uint(nb) && uint(m.Dst) < uint(nb) {
+			cs.msgOrder[cs.msgStart[m.Src]] = int32(i)
+			cs.msgStart[m.Src]++
+		}
+	}
+	// Resolve one source at a time on per-destination scratch: the first
+	// request of each (s, d) represents the pair and takes its last slot.
+	cs.rep = grow(cs.rep, nb)
+	for d := range cs.rep {
+		cs.rep[d] = -1
+	}
+	var rlo, mlo int32
+	for s := 0; s < nb; s++ {
+		reqs, mine := cs.reqDst[rlo:cs.reqStart[s]], cs.msgOrder[mlo:cs.msgStart[s]]
+		base := rlo
+		rlo, mlo = cs.reqStart[s], cs.msgStart[s]
+		if len(mine) == 0 {
+			continue
+		}
+		for j, d := range reqs {
+			if cs.rep[d] < 0 {
+				cs.rep[d] = base + int32(j)
+			}
+			cs.reqSlot[cs.rep[d]] = cs.reqSlot[base+int32(j)]
+		}
+		for _, i := range mine {
+			cs.circuitOf[i] = cs.rep[msgs[i].Dst]
+		}
+		for _, d := range reqs {
+			cs.rep[d] = -1
+		}
+	}
+	// Number the circuits in input order.
+	cs.circOf = growZero(cs.circOf, nreq)
+	cs.slots = cs.slots[:0]
+	for i, m := range msgs {
+		if i == bad {
+			return m.validate()
+		}
+		j := cs.circuitOf[i]
+		if j < 0 {
+			return fmt.Errorf("sim: message %d->%d has no circuit in the compiled schedule", m.Src, m.Dst)
+		}
+		if cs.circOf[j] == 0 {
+			cs.slots = append(cs.slots, cs.reqSlot[j])
+			cs.circOf[j] = int32(len(cs.slots))
+		}
+		cs.circuitOf[i] = cs.circOf[j] - 1
+	}
+	return nil
+}
+
 // RunCompiled prices a communication phase under compiled communication
 // on a TDM network. The schedule must cover every message's (src, dst)
 // pair; all circuits are established before slot 0 (the switch registers
@@ -238,7 +341,7 @@ func (cs *CompiledSim) runBounded(res *schedule.Result, msgs []Message, mode Mod
 // differential oracle, next to RunCompiledChecked, which steps slots and
 // checks links and ports physically.
 func RunCompiled(res *schedule.Result, msgs []Message) (*CompiledResult, error) {
-	return NewCompiledSim().Run(res, msgs, TDM)
+	return runPooled(res, msgs, TDM)
 }
 
 // RunCompiledWDM simulates the same compiled schedule on a
@@ -247,7 +350,17 @@ func RunCompiled(res *schedule.Result, msgs []Message) (*CompiledResult, error) 
 // circuit moves one flit per slot. The multiplexing degree then costs
 // hardware (wavelengths) instead of time.
 func RunCompiledWDM(res *schedule.Result, msgs []Message) (*CompiledResult, error) {
-	return NewCompiledSim().Run(res, msgs, WDM)
+	return runPooled(res, msgs, WDM)
+}
+
+// enginePool keeps RunCompiled's engines, so a stream of runs reuses their
+// arrays.
+var enginePool = sync.Pool{New: func() any { return NewCompiledSim() }}
+
+func runPooled(res *schedule.Result, msgs []Message, mode Mode) (*CompiledResult, error) {
+	cs := enginePool.Get().(*CompiledSim)
+	defer enginePool.Put(cs)
+	return cs.Run(res, msgs, mode)
 }
 
 // CompiledTimeClosedForm predicts the finish time of a lone message with

@@ -176,7 +176,7 @@ func (s *Simulator) run(msgs []Message, faults []FaultEvent, res *DynamicResult)
 	s.reset(len(msgs))
 	resetResult(res, len(msgs))
 
-	// Per-message state: routes come from the shared route cache (paths are
+	// Per-message state: routes come from the topology's route table (paths are
 	// pure functions of the topology), lock buffers are windows of two flat
 	// arrays sized to the total hop count.
 	if cap(s.states) < len(msgs) {

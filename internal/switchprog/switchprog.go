@@ -153,9 +153,10 @@ func Compile(res *schedule.Result) (*Program, error) {
 		prog.counts[int(node)*degree+slot]++
 		return nil
 	}
+	rs := network.RoutesOf(t)
 	for slot, config := range res.Configs {
 		for _, req := range config {
-			p, err := network.CachedRoute(t, req.Src, req.Dst)
+			p, err := rs.Route(req.Src, req.Dst)
 			if err != nil {
 				return nil, fmt.Errorf("switchprog: routing %v: %w", req, err)
 			}

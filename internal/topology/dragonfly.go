@@ -39,7 +39,8 @@ import (
 // the gateway router owning the global channel, the global channel, at most
 // one local hop from the landing router to the destination router, eject.
 type Dragonfly struct {
-	name string // precomputed so Name() never allocates
+	name               string // precomputed so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	A int // routers per group
 	G int // groups

@@ -33,7 +33,8 @@ import (
 // switches), so every (src, dst) pair has exactly one path and link usage is
 // a stable function of k — the layout contract PatternKey hashing needs.
 type FatTree struct {
-	name string // precomputed so Name() never allocates
+	name               string // precomputed so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	K int // switch radix; k even, >= 4
 	N int // PEs = k^3/4

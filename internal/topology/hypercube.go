@@ -13,7 +13,8 @@ import (
 // exercised on a topology with logarithmic diameter; the paper's evaluation
 // itself runs on the torus.
 type Hypercube struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	Dim int
 }

@@ -17,7 +17,8 @@ const (
 // paper's Fig. 3 scheduling example. Each adjacent pair is joined by one
 // link per direction.
 type Linear struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	N int
 }

@@ -11,7 +11,8 @@ import (
 // matches the torus; border switches simply leave the corresponding ports
 // unconnected.
 type Mesh struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	W, H int
 }

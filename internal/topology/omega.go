@@ -27,7 +27,8 @@ import (
 // multiplexing degree of a permutation equals the number of passes the
 // Omega network classically needs for it.
 type Omega struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	N      int // PEs
 	stages int

@@ -10,7 +10,8 @@ import (
 // nodes. It is the one-dimensional specialization of the torus and is used
 // by the per-dimension AAPC analysis and additional experiments.
 type Ring struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	N   int
 	Tie TiePolicy

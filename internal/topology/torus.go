@@ -23,7 +23,8 @@ const (
 // destination row, taking the shorter wraparound direction in each
 // dimension.
 type Torus struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	W, H int
 	Tie  TiePolicy

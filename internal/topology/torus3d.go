@@ -24,7 +24,8 @@ const (
 // with shortest wraparound per dimension and the same balanced tie policy
 // as the 2-D torus.
 type Torus3D struct {
-	name string // precomputed by the constructor so Name() never allocates
+	name               string // precomputed by the constructor so Name() never allocates
+	network.RouteTable        // this value's memoized routes (network.RoutesOf)
 
 	X, Y, Z int
 	Tie     TiePolicy
