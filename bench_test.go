@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"testing"
 
-	ccomm "repro"
 	"repro/internal/adaptive"
 	"repro/internal/apps"
 	"repro/internal/benes"
@@ -624,103 +623,45 @@ func BenchmarkExtensionAdaptiveRouting(b *testing.B) {
 	})
 }
 
-// --- Parallel scheduling pipeline --------------------------------------------
+// --- Combined on the paper's all-to-all ------------------------------------
 
-// withGraphBuildKnobs runs fn with the conflict-graph build knobs overridden
-// and restores the defaults afterwards.
-func withGraphBuildKnobs(cutoff, workers int, fn func()) {
-	oldCutoff, oldWorkers := schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers
-	schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers = cutoff, workers
-	defer func() {
-		schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers = oldCutoff, oldWorkers
-	}()
-	fn()
-}
-
-// BenchmarkCombinedPipeline measures the parallel scheduling pipeline on the
-// paper's 8x8-torus AAPC workload (the 4032-request all-to-all) as a ladder
-// from the pre-parallel pipeline to the current default, switching one stage
-// on per rung:
-//
-//	baseline       sequential Combined, serial graph build, routes recomputed
-//	routes-warm    + route table serving every (s,d) lookup
-//	sharded-graph  + parallel conflict-graph row construction
-//	parallel       + Combined racing its member schedulers (the default)
-//
-// The headline comparison is baseline vs parallel. All rungs produce
-// byte-identical schedules (see internal/schedule/determinism_test.go); only
-// the wall clock may differ.
+// BenchmarkCombinedPipeline measures Combined on the paper's 8x8-torus AAPC
+// workload (the 4032-request all-to-all) with the route table emptied
+// before every compile (cold-routes) and serving every (s,d) lookup
+// (warm-routes). Both rungs produce the same schedule.
 func BenchmarkCombinedPipeline(b *testing.B) {
 	set := patterns.AllToAll(64)
-	// Warm the name-keyed AAPC decomposition cache, which predates this
-	// pipeline and is shared by every rung.
+	// Warm the name-keyed AAPC decomposition cache, which both rungs share.
 	if _, err := (schedule.Combined{}).Schedule(benchTorus, set); err != nil {
 		b.Fatal(err)
 	}
-	configs := []struct {
-		name        string
-		sched       schedule.Combined
-		serialGraph bool
-		coldRoutes  bool
-	}{
-		{"baseline", schedule.Combined{Sequential: true}, true, true},
-		{"routes-warm", schedule.Combined{Sequential: true}, true, false},
-		{"sharded-graph", schedule.Combined{Sequential: true}, false, false},
-		{"parallel", schedule.Combined{}, false, false},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			workers := 0
-			if cfg.serialGraph {
-				workers = 1
-			}
-			withGraphBuildKnobs(schedule.ConflictGraphParallelCutoff, workers, func() {
-				network.InvalidateRoutes(benchTorus)
-				if !cfg.coldRoutes {
-					if _, err := cfg.sched.Schedule(benchTorus, set); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if cfg.coldRoutes {
-						network.InvalidateRoutes(benchTorus)
-					}
-					res, err := cfg.sched.Schedule(benchTorus, set)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Degree() != 64 {
-						b.Fatalf("degree %d", res.Degree())
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkCompileAll compares a serial loop over Compiler.Compile with the
-// concurrent CompileAll batch API on a Tables 1-3 style sweep: 8 random
-// 1200-connection patterns on the 8x8 torus.
-func BenchmarkCompileAll(b *testing.B) {
-	comp := ccomm.Compiler{Topology: benchTorus}
-	sets := randomSets(b, 1200, 8)
-	b.Run("serial-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, set := range sets {
-				if _, err := comp.Compile(set); err != nil {
+	for _, cold := range []bool{true, false} {
+		name := "warm-routes"
+		if cold {
+			name = "cold-routes"
+		}
+		b.Run(name, func(b *testing.B) {
+			network.InvalidateRoutes(benchTorus)
+			if !cold {
+				if _, err := (schedule.Combined{}).Schedule(benchTorus, set); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := comp.CompileAll(sets); err != nil {
-				b.Fatal(err)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					network.InvalidateRoutes(benchTorus)
+				}
+				res, err := schedule.Combined{}.Schedule(benchTorus, set)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Degree() != 64 {
+					b.Fatalf("degree %d", res.Degree())
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // --- Infrastructure micro-benchmarks ----------------------------------------
@@ -731,22 +672,12 @@ func BenchmarkConflictGraphBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	builds := []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"sharded", 0}}
-	for _, mode := range builds {
-		b.Run(mode.name, func(b *testing.B) {
-			withGraphBuildKnobs(1, mode.workers, func() {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g := schedule.BuildConflictGraph(benchTorus, paths)
-					if g.Len() != 4032 {
-						b.Fatal("bad graph")
-					}
-				}
-			})
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := schedule.BuildConflictGraph(benchTorus, paths)
+		if g.Len() != 4032 {
+			b.Fatal("bad graph")
+		}
 	}
 }
 

@@ -25,9 +25,7 @@ package ccomm
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/cliutil"
 	"repro/internal/network"
 	"repro/internal/request"
 	"repro/internal/schedule"
@@ -113,9 +111,6 @@ type Compiler struct {
 	// Algorithm selects the scheduler; the zero value means Combined,
 	// which is what the paper's compiler uses.
 	Algorithm Algorithm
-	// Workers bounds the number of phases CompileAll compiles concurrently;
-	// zero means runtime.GOMAXPROCS(0). Compile ignores it.
-	Workers int
 }
 
 // CompiledPhase is the result of compiling one static communication phase:
@@ -146,51 +141,6 @@ func (c Compiler) Compile(reqs RequestSet) (*CompiledPhase, error) {
 		return nil, err
 	}
 	return &CompiledPhase{Schedule: res, Program: prog}, nil
-}
-
-// CompileAll compiles many independent communication phases concurrently,
-// one CompiledPhase per input pattern, in input order. Schedulers are pure,
-// so phases parallelize with no coordination beyond the shared route and
-// decomposition caches; a worker pool of Workers goroutines (default
-// GOMAXPROCS) drains the batch. The result is deterministic and identical
-// to calling Compile on each pattern in a loop: output order matches input
-// order, and on failure the error of the lowest-index failing pattern is
-// returned, regardless of completion timing.
-func (c Compiler) CompileAll(patterns []RequestSet) ([]*CompiledPhase, error) {
-	if c.Topology == nil {
-		return nil, fmt.Errorf("ccomm: Compiler.Topology is nil")
-	}
-	if _, err := c.Algorithm.scheduler(); err != nil {
-		return nil, err
-	}
-	out := make([]*CompiledPhase, len(patterns))
-	errs := make([]error, len(patterns))
-	workers := cliutil.Workers(c.Workers)
-	if workers > len(patterns) {
-		workers = len(patterns)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = c.Compile(patterns[i])
-			}
-		}()
-	}
-	for i := range patterns {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ccomm: pattern %d: %w", i, err)
-		}
-	}
-	return out, nil
 }
 
 // Simulate runs the phase's messages under compiled communication: all

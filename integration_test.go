@@ -7,8 +7,6 @@ package ccomm_test
 
 import (
 	"math/rand"
-	"reflect"
-	"strings"
 	"testing"
 
 	ccomm "repro"
@@ -186,76 +184,6 @@ func TestPublicAPISwitchProgramsAreTraceable(t *testing.T) {
 	}
 	if n != 600 {
 		t.Errorf("verified %d circuits", n)
-	}
-}
-
-// TestCompileAllMatchesSequentialCompile: the concurrent batch compiler
-// returns, phase for phase, exactly what a sequential Compile loop returns —
-// same algorithm choice, same configurations, same switch programs' degree —
-// and every batch-compiled schedule validates.
-func TestCompileAllMatchesSequentialCompile(t *testing.T) {
-	torus := ccomm.NewTorus8x8()
-	comp := ccomm.Compiler{Topology: torus}
-	rng := rand.New(rand.NewSource(2026))
-	var sets []ccomm.RequestSet
-	for _, n := range []int{50, 200, 400, 800, 1200, 1600} {
-		set, err := ccomm.RandomPattern(rng, 64, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets = append(sets, set)
-	}
-	batch, err := comp.CompileAll(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(sets) {
-		t.Fatalf("batch returned %d phases for %d patterns", len(batch), len(sets))
-	}
-	for i, set := range sets {
-		single, err := comp.Compile(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i].Schedule.Algorithm != single.Schedule.Algorithm {
-			t.Fatalf("pattern %d: algorithm %q batched vs %q sequential",
-				i, batch[i].Schedule.Algorithm, single.Schedule.Algorithm)
-		}
-		if !reflect.DeepEqual(batch[i].Schedule.Configs, single.Schedule.Configs) {
-			t.Fatalf("pattern %d: batched schedule diverged from sequential", i)
-		}
-		if batch[i].Program.Degree != single.Program.Degree {
-			t.Fatalf("pattern %d: program degree %d batched vs %d sequential",
-				i, batch[i].Program.Degree, single.Program.Degree)
-		}
-		if err := batch[i].Schedule.Validate(set.Dedup()); err != nil {
-			t.Fatalf("pattern %d: %v", i, err)
-		}
-		// The lowered registers of the batch-compiled phase must deliver
-		// every circuit, physically.
-		tracer := optics.NewTracer(batch[i].Program)
-		if _, err := tracer.VerifySchedule(batch[i].Schedule.Configs); err != nil {
-			t.Fatalf("pattern %d: %v", i, err)
-		}
-	}
-}
-
-// TestCompileAllErrorIsLowestIndex: determinism extends to failures — the
-// reported error names the first failing pattern in input order, not
-// whichever goroutine lost the race.
-func TestCompileAllErrorIsLowestIndex(t *testing.T) {
-	comp := ccomm.Compiler{Topology: ccomm.NewTorus(4, 4)}
-	good := ccomm.RequestSet{{Src: 0, Dst: 1}}
-	bad1 := ccomm.RequestSet{{Src: 0, Dst: 99}} // out of range
-	bad2 := ccomm.RequestSet{{Src: 0, Dst: 77}}
-	for run := 0; run < 10; run++ {
-		_, err := comp.CompileAll([]ccomm.RequestSet{good, bad1, good, bad2})
-		if err == nil {
-			t.Fatal("batch with invalid patterns compiled")
-		}
-		if !strings.Contains(err.Error(), "pattern 1") {
-			t.Fatalf("error %q does not name the lowest failing pattern", err)
-		}
 	}
 }
 

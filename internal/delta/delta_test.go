@@ -241,7 +241,7 @@ func TestPatchDeterminism(t *testing.T) {
 	var first []byte
 	for i, opt := range []delta.Options{
 		{},
-		{Scheduler: schedule.Combined{Sequential: true}},
+		{Scheduler: schedule.Coloring{}},
 		{Scheduler: schedule.Greedy{}},
 	} {
 		res, st, err := delta.Recompile(torus, baseRes, target, opt)

@@ -35,8 +35,8 @@ import "sync/atomic"
 //     headers are carved from slabs of slabLen, so a table allocates once
 //     per slabLen of them plus once per row's pointer array. An entry is
 //     published by a compare-and-swap once its links are written, so
-//     concurrent readers (the parallel Combined fan-out, CompileAll) see
-//     either nothing or a complete path.
+//     concurrent readers (the daemon's compile workers, a sweep's -workers
+//     pool) see either nothing or a complete path.
 //   - Cached paths are shared, not copied. Callers must treat Path.Links as
 //     immutable (routes are compiler artifacts, not scratch buffers).
 //   - Mutable topologies: a topology whose routing inputs change after first

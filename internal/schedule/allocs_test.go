@@ -1,6 +1,8 @@
 package schedule_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/request"
@@ -14,26 +16,31 @@ import (
 // line so a stray append or escaping closure shows up as a test failure,
 // not as a latency regression in the service.
 //
-// testing.AllocsPerRun pins GOMAXPROCS to 1 for the measured runs, so
-// Combined{} takes its sequential path (the goroutine race is inherently
-// allocating and is bypassed on single-CPU runs by design).
+// testing.AllocsPerRun pins GOMAXPROCS to 1 for the measured runs;
+// TestCombinedAllocsAtGOMAXPROCS2 counts at two cores, where any fan-out
+// inside a compile would show.
 
-func compileSteadyAllocs(t *testing.T, s schedule.Scheduler, reqs request.Set) float64 {
+// compileSteadyAllocs counts the allocations of one warm arena compiling
+// the sets in turn.
+func compileSteadyAllocs(t *testing.T, s schedule.Scheduler, sets ...request.Set) float64 {
 	t.Helper()
 	topo, err := topology.Parse("torus-8x8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := schedule.NewCompileState()
-	for i := 0; i < 3; i++ { // grow the arena and warm the route cache
-		if _, err := st.Compile(s, topo, reqs); err != nil {
+	compile := func(i int) {
+		if _, err := st.Compile(s, topo, sets[i%len(sets)]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 3*len(sets); i++ { // grow the arena and warm the route cache
+		compile(i)
+	}
+	i := 0
 	return testing.AllocsPerRun(20, func() {
-		if _, err := st.Compile(s, topo, reqs); err != nil {
-			t.Fatal(err)
-		}
+		compile(i)
+		i++
 	})
 }
 
@@ -45,21 +52,66 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 	rng := splitmix64(42)
 	reqs := randomPattern(&rng, 64, 128)
+	dense := randomPattern(&rng, 64, 1200)
 	cases := []struct {
 		name string
 		s    schedule.Scheduler
+		sets []request.Set
 	}{
-		{"greedy", schedule.Greedy{}},
-		{"coloring", schedule.Coloring{}},
-		{"aapc", schedule.OrderedAAPC{}},
-		{"combined-seq", schedule.Combined{Sequential: true}},
-		{"combined", schedule.Combined{}},
+		{"greedy", schedule.Greedy{}, []request.Set{reqs}},
+		{"coloring", schedule.Coloring{}, []request.Set{reqs}},
+		{"aapc", schedule.OrderedAAPC{}, []request.Set{reqs}},
+		// A sequence of compiles of two shapes on one arena, as a pooled
+		// state serves them.
+		{"combined-seq", schedule.Combined{}, []request.Set{reqs, dense}},
+		{"combined", schedule.Combined{}, []request.Set{reqs}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if n := compileSteadyAllocs(t, c.s, reqs); n != 0 {
+			if n := compileSteadyAllocs(t, c.s, c.sets...); n != 0 {
 				t.Fatalf("steady-state Compile allocates %.1f per run, want 0", n)
+			}
+		})
+	}
+}
+
+// TestCombinedAllocsAtGOMAXPROCS2 pins a warm Combined compile at zero
+// allocations with two cores available. It reads the process-wide malloc
+// counter around the calls instead of using testing.AllocsPerRun, which
+// would pin GOMAXPROCS to 1. The 1,200-request set is dense enough that
+// coloring misses the lower bound and the AAPC member runs.
+func TestCombinedAllocsAtGOMAXPROCS2(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	topo, err := topology.Parse("torus-8x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s schedule.Scheduler = schedule.Combined{} // boxed once, outside the count
+	for _, n := range []int{128, 1200} {
+		t.Run(fmt.Sprintf("requests=%d", n), func(t *testing.T) {
+			rng := splitmix64(uint64(n))
+			reqs := randomPattern(&rng, topo.NumNodes(), n)
+			st := schedule.NewCompileState()
+			for i := 0; i < 3; i++ { // grow the arenas and warm the caches
+				if _, err := st.Compile(s, topo, reqs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := st.Compile(s, topo, reqs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if m := after.Mallocs - before.Mallocs; m != 0 {
+				t.Fatalf("warm Combined compile allocates %.1f per run at GOMAXPROCS=2, want 0", float64(m)/runs)
 			}
 		})
 	}

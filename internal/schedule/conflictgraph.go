@@ -2,9 +2,7 @@ package schedule
 
 import (
 	"math/bits"
-	"sync"
 
-	"repro/internal/cliutil"
 	"repro/internal/network"
 )
 
@@ -21,19 +19,6 @@ type ConflictGraph struct {
 	rows [][]uint64
 	deg  []int
 }
-
-// Parallel-build knobs. They are read once at the start of every
-// BuildConflictGraph call; set them during initialization or from tests, not
-// concurrently with scheduling.
-var (
-	// ConflictGraphParallelCutoff is the vertex count below which the graph
-	// is built serially: for small request sets the inverted-index pass is
-	// already cheap and goroutine fan-out only adds overhead.
-	ConflictGraphParallelCutoff = 1024
-	// ConflictGraphWorkers is the number of row-construction workers for
-	// large graphs; 0 means runtime.GOMAXPROCS(0).
-	ConflictGraphWorkers = 0
-)
 
 // resourceIndex is the inverted index from each resource (directed link,
 // then source port, then destination port) to the requests occupying it, in
@@ -79,13 +64,25 @@ func (ix *resourceIndex) build(nl, nn int, paths []network.Path) {
 // users returns the requests occupying resource r.
 func (ix *resourceIndex) users(r int) []int32 { return ix.user[ix.start[r]:ix.start[r+1]] }
 
-// fillRows constructs adjacency rows [lo, hi): each vertex or-s in the
-// users of every resource on its path, clears its own bit, and counts its
-// degree. Visiting each edge once from either endpoint, the result is the
-// same set-valued adjacency a pairwise resource scan produces, at a word
-// write per incidence instead of a read-modify-write per pair.
-func fillRows(g *ConflictGraph, nl, nn int, paths []network.Path, ix *resourceIndex, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// maxLoad returns the most requests occupying any one resource: the
+// resource lower bound on the multiplexing degree (see LowerBound).
+func (ix *resourceIndex) maxLoad() int {
+	var most int32
+	for r := 1; r < len(ix.start); r++ {
+		if load := ix.start[r] - ix.start[r-1]; load > most {
+			most = load
+		}
+	}
+	return int(most)
+}
+
+// fillRows constructs the adjacency rows: each vertex or-s in the users of
+// every resource on its path, clears its own bit, and counts its degree.
+// Visiting each edge once from either endpoint, the result is the same
+// set-valued adjacency a pairwise resource scan produces, at a word write
+// per incidence instead of a read-modify-write per pair.
+func fillRows(g *ConflictGraph, nl, nn int, paths []network.Path, ix *resourceIndex) {
+	for i := range paths {
 		row := g.rows[i]
 		p := paths[i]
 		for _, l := range p.Links {
@@ -109,45 +106,13 @@ func markUsers(row []uint64, users []int32) {
 	}
 }
 
-// fillAllRows runs fillRows serially or sharded across workers according to
-// the package knobs. Worker w owns a contiguous shard of rows, so no two
-// workers ever write the same word and the output is identical to the
-// serial build: adjacency is a set, so row content does not depend on
-// visit order, and degrees are the row population counts either way.
-func fillAllRows(g *ConflictGraph, nl, nn int, paths []network.Path, ix *resourceIndex) {
-	n := g.n
-	workers := cliutil.Workers(ConflictGraphWorkers)
-	if n < ConflictGraphParallelCutoff || workers <= 1 {
-		fillRows(g, nl, nn, paths, ix, 0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fillRows(g, nl, nn, paths, ix, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // BuildConflictGraph constructs the conflict graph for pre-routed requests.
 // Instead of testing all O(|R|^2) pairs directly, it builds an inverted
 // index from each resource to the requests occupying it and or-s each
 // vertex's resource user lists into its adjacency row — a word-parallel
 // sweep whose cost is one bit write per (vertex, resource-sharing request)
-// incidence.
-//
-// For graphs of at least ConflictGraphParallelCutoff vertices the rows are
-// built by ConflictGraphWorkers goroutines. The differential-testing oracle
-// for this construction is OracleConflictGraph, the direct O(|R|^2)
-// pairwise build.
+// incidence. The differential-testing oracle for this construction is
+// OracleConflictGraph, the direct O(|R|^2) pairwise build.
 func BuildConflictGraph(t network.Topology, paths []network.Path) *ConflictGraph {
 	n := len(paths)
 	words := (n + 63) / 64
@@ -158,7 +123,7 @@ func BuildConflictGraph(t network.Topology, paths []network.Path) *ConflictGraph
 	}
 	var ix resourceIndex
 	ix.build(t.NumLinks(), t.NumNodes(), paths)
-	fillAllRows(g, t.NumLinks(), t.NumNodes(), paths, &ix)
+	fillRows(g, t.NumLinks(), t.NumNodes(), paths, &ix)
 	return g
 }
 

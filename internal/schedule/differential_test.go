@@ -1,12 +1,16 @@
 package schedule_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/network"
+	"repro/internal/patterns"
 	"repro/internal/request"
 	"repro/internal/schedule"
 	"repro/internal/topology"
@@ -16,10 +20,10 @@ import (
 // every production scheduler is run against its retained map-based original
 // (oracle.go) over the topology families, on table-driven patterns and on
 // SplitMix64-generated random multisets, and the two Results must be
-// byte-identical under a canonical encoding. The suite runs under -race in
-// CI with varied conflict-graph worker counts, so it also proves the
-// sharded graph build and the goroutine-racing Combined introduce no
-// schedule-affecting nondeterminism.
+// byte-identical under a canonical encoding. OracleCombined runs both of its
+// members on every input, so the suite also proves that Combined's
+// lower-bound exit, which skips AAPC once coloring meets the bound, never
+// changes a schedule.
 
 // splitmix64 is the standard 64-bit mixer — a tiny, dependency-free PRNG
 // whose streams are reproducible from the printed seed.
@@ -90,9 +94,38 @@ func schedulerPairs() []schedulerPair {
 		{"aapc-unranked", schedule.OrderedAAPC{DisableRanking: true},
 			schedule.OracleOrderedAAPC{DisableRanking: true}},
 		{"combined", schedule.Combined{}, schedule.OracleCombined{}},
-		{"combined-seq", schedule.Combined{Sequential: true},
-			schedule.OracleCombined{Sequential: true}},
+		{"combined-seq", arenaSequence{schedule.Combined{}}, schedule.OracleCombined{}},
 	}
+}
+
+// arenaSequence schedules as the second compile on one arena, after an
+// all-to-all of the same topology, the way a daemon worker's pooled state
+// runs back-to-back compiles of different shapes. Nothing the first compile
+// leaves behind — a larger resource index, an AAPC arena — may reach the
+// result or Combined's lower-bound exit.
+type arenaSequence struct{ s schedule.Scheduler }
+
+func (a arenaSequence) Name() string { return a.s.Name() }
+
+func (a arenaSequence) Schedule(t network.Topology, reqs request.Set) (*schedule.Result, error) {
+	st := schedule.NewCompileState()
+	if _, err := st.Compile(a.s, t, patterns.AllToAll(network.TerminalCount(t))); err != nil {
+		return nil, err
+	}
+	res, err := st.Compile(a.s, t, reqs)
+	if err != nil {
+		return nil, err
+	}
+	// Detach the arena Result, whose Configs the next compile reuses and
+	// which carries no Slot index.
+	out := &schedule.Result{Algorithm: res.Algorithm, Topology: res.Topology, Slot: map[request.Request]int{}}
+	for k, c := range res.Configs {
+		out.Configs = append(out.Configs, c.Clone())
+		for _, q := range c {
+			out.Slot[q] = k
+		}
+	}
+	return out, nil
 }
 
 // tablePatterns are deterministic request families, parameterized by node
@@ -163,49 +196,56 @@ func permutationPattern(rng *splitmix64, nn int) request.Set {
 	return set
 }
 
-// runDifferential asserts both schedulers agree byte-for-byte on one input.
-func runDifferential(t *testing.T, bitset, oracle schedule.Scheduler, topo network.Topology, reqs request.Set) {
-	t.Helper()
+// diffSchedules reports how the two schedulers disagree on one input, or
+// nil when they agree byte-for-byte and the schedule validates.
+func diffSchedules(bitset, oracle schedule.Scheduler, topo network.Topology, reqs request.Set) error {
 	got, gotErr := bitset.Schedule(topo, reqs.Clone())
 	want, wantErr := oracle.Schedule(topo, reqs.Clone())
 	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("error divergence: bitset %v, oracle %v", gotErr, wantErr)
+		return fmt.Errorf("error divergence: bitset %v, oracle %v", gotErr, wantErr)
 	}
 	if gotErr != nil {
-		return
+		return nil
 	}
-	g, w := canonicalResult(got), canonicalResult(want)
-	if g != w {
-		t.Fatalf("schedule divergence on %s with %d requests:\nbitset:\n%s\noracle:\n%s",
+	if g, w := canonicalResult(got), canonicalResult(want); g != w {
+		return fmt.Errorf("schedule divergence on %s with %d requests:\nbitset:\n%s\noracle:\n%s",
 			topo.Name(), len(reqs), g, w)
 	}
-	if err := got.Validate(reqs); err != nil {
+	return got.Validate(reqs)
+}
+
+// runDifferential asserts both schedulers agree byte-for-byte on one input.
+func runDifferential(t *testing.T, bitset, oracle schedule.Scheduler, topo network.Topology, reqs request.Set) {
+	t.Helper()
+	if err := diffSchedules(bitset, oracle, topo, reqs); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// withWorkers runs fn under each conflict-graph build configuration:
-// default (serial for these sizes), forced-parallel with several worker
-// counts, and back. The graph build must be invisible in the output.
-func withWorkers(t *testing.T, fn func(t *testing.T)) {
+// concurrently runs fn from the given number of concurrent callers
+// (0 = GOMAXPROCS), all on the same topology value: a compile runs on one
+// goroutine, and parallelism lives in callers like the daemon's worker
+// pool, which share the route table and the AAPC decomposition cache.
+func concurrently(t *testing.T, workers int, fn func() error) {
 	t.Helper()
-	oldCutoff, oldWorkers := schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers
-	defer func() {
-		schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers = oldCutoff, oldWorkers
-	}()
-	for _, w := range []int{0, 1, 2, 5} {
-		schedule.ConflictGraphWorkers = w
-		if w > 1 {
-			schedule.ConflictGraphParallelCutoff = 1 // force the sharded build
-		} else {
-			schedule.ConflictGraphParallelCutoff = oldCutoff
-		}
-		t.Run(fmt.Sprintf("workers=%d", w), fn)
+	errs := make([]error, cliutil.Workers(workers))
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = fn()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestDifferentialTable runs every scheduler pair on every table pattern of
-// every topology family.
+// every topology family, from 0 (GOMAXPROCS), 1, 2 and 5 concurrent
+// callers.
 func TestDifferentialTable(t *testing.T) {
 	for _, topoName := range differentialTopologies {
 		topo, err := topology.Parse(topoName)
@@ -217,9 +257,13 @@ func TestDifferentialTable(t *testing.T) {
 			for _, pair := range schedulerPairs() {
 				pair := pair
 				t.Run(fmt.Sprintf("%s/%s/%s", topoName, patName, pair.name), func(t *testing.T) {
-					withWorkers(t, func(t *testing.T) {
-						runDifferential(t, pair.bitset, pair.oracle, topo, reqs)
-					})
+					for _, w := range []int{0, 1, 2, 5} {
+						t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+							concurrently(t, w, func() error {
+								return diffSchedules(pair.bitset, pair.oracle, topo, reqs)
+							})
+						})
+					}
 				})
 			}
 		}
@@ -231,9 +275,7 @@ func TestDifferentialTable(t *testing.T) {
 // their coloring member and still agree byte-for-byte, including the
 // winner name.
 func TestDifferentialAAPCCutoff(t *testing.T) {
-	old := schedule.AAPCTerminalCutoff
-	defer func() { schedule.AAPCTerminalCutoff = old }()
-	schedule.AAPCTerminalCutoff = 4
+	defer schedule.SetAAPCTerminalCutoff(4)()
 	for _, topoName := range []string{"torus-4x4", "dragonfly-2x4x2"} {
 		topo, err := topology.Parse(topoName)
 		if err != nil {

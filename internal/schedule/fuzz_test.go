@@ -1,9 +1,9 @@
 package schedule_test
 
 import (
-	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/request"
 	"repro/internal/schedule"
@@ -109,11 +109,10 @@ func bitsetGraphSeeds() [][]byte {
 }
 
 // FuzzBitsetGraph differentially fuzzes the conflict-graph build: for an
-// arbitrary request multiset, the word-parallel CSR construction (serial
-// and sharded, at a worker count drawn from the input) must produce exactly
-// the graph the retained pairwise oracle produces — edge for edge, degree
-// for degree — and the coloring scheduler on top of it must still emit a
-// valid schedule.
+// arbitrary request multiset, the word-parallel CSR construction must
+// produce exactly the graph the retained pairwise oracle produces — edge
+// for edge, degree for degree — and the coloring scheduler on top of it
+// must still emit a valid schedule.
 func FuzzBitsetGraph(f *testing.F) {
 	for _, seed := range bitsetGraphSeeds() {
 		f.Add(seed)
@@ -124,10 +123,6 @@ func FuzzBitsetGraph(f *testing.F) {
 		}
 		torus := topology.NewTorus(4, 4)
 		var set request.Set
-		workers := 1
-		if len(raw) > 0 {
-			workers = 1 + int(raw[0])%4
-		}
 		for i := 0; i+1 < len(raw); i += 2 {
 			s := network.NodeID(int(raw[i]) % 16)
 			d := network.NodeID(int(raw[i+1]) % 16)
@@ -139,31 +134,20 @@ func FuzzBitsetGraph(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := schedule.OracleConflictGraph(paths)
-		check := func(g *schedule.ConflictGraph, how string) {
-			t.Helper()
-			if g.Len() != oracle.Len() {
-				t.Fatalf("%s: %d vertices, oracle has %d", how, g.Len(), oracle.Len())
+		g, oracle := schedule.BuildConflictGraph(torus, paths), schedule.OracleConflictGraph(paths)
+		if g.Len() != oracle.Len() {
+			t.Fatalf("%d vertices, oracle has %d", g.Len(), oracle.Len())
+		}
+		for i := 0; i < g.Len(); i++ {
+			if g.Degree(i) != oracle.Degree(i) {
+				t.Fatalf("vertex %d degree %d, oracle %d", i, g.Degree(i), oracle.Degree(i))
 			}
-			for i := 0; i < g.Len(); i++ {
-				if g.Degree(i) != oracle.Degree(i) {
-					t.Fatalf("%s: vertex %d degree %d, oracle %d", how, i, g.Degree(i), oracle.Degree(i))
-				}
-				for j := 0; j < g.Len(); j++ {
-					if g.Adjacent(i, j) != oracle.Adjacent(i, j) {
-						t.Fatalf("%s: edge (%d,%d) = %v, oracle %v", how, i, j,
-							g.Adjacent(i, j), oracle.Adjacent(i, j))
-					}
+			for j := 0; j < g.Len(); j++ {
+				if g.Adjacent(i, j) != oracle.Adjacent(i, j) {
+					t.Fatalf("edge (%d,%d) = %v, oracle %v", i, j, g.Adjacent(i, j), oracle.Adjacent(i, j))
 				}
 			}
 		}
-		check(schedule.BuildConflictGraph(torus, paths), "serial")
-		oldCutoff, oldWorkers := schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers
-		schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers = 1, workers
-		defer func() {
-			schedule.ConflictGraphParallelCutoff, schedule.ConflictGraphWorkers = oldCutoff, oldWorkers
-		}()
-		check(schedule.BuildConflictGraph(torus, paths), "sharded")
 		res, err := schedule.Coloring{}.Schedule(torus, set)
 		if err != nil {
 			t.Fatal(err)
@@ -174,49 +158,62 @@ func FuzzBitsetGraph(f *testing.F) {
 	})
 }
 
-// FuzzCombinedParallelDeterminism differentially fuzzes the parallel
-// scheduling pipeline: for arbitrary request bytes, the goroutine-racing
-// Combined must return a schedule byte-identical to the sequential one, and
-// both must validate. Seeds skew toward duplicate-heavy sets, where the
-// route cache serves one path to both member schedulers at once and
-// Dedup-surviving duplicates take distinct slots.
-func FuzzCombinedParallelDeterminism(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0})
-	f.Add([]byte{5, 10, 5, 10, 5, 10, 5, 10, 5, 10})
-	f.Add([]byte{1, 2, 2, 1, 1, 2, 2, 1, 9, 14, 14, 9, 9, 14})
-	f.Add([]byte{0, 15, 0, 14, 0, 13, 0, 12, 0, 11, 0, 10})
+// FuzzCombinedExit differentially fuzzes Combined's lower-bound exit. For
+// arbitrary request bytes on a 4x4 torus, healthy and with the node raw[0]
+// names failed (requests touching it dropped), Combined must equal
+// OracleCombined, which runs AAPC on every input, in configurations and
+// winner; and whenever coloring meets LowerBound the winner must be
+// coloring. The failed node leaves the masked view without an AAPC
+// decomposition, so there every phase is coloring's.
+func FuzzCombinedExit(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 3, 3, 0})
+	f.Add([]byte{0, 5, 10, 5, 10, 5, 10, 5, 10, 5, 10})
+	f.Add([]byte{9, 1, 2, 2, 1, 1, 2, 2, 1, 9, 14, 14, 9, 9, 14})
+	f.Add([]byte{15, 0, 15, 0, 14, 0, 13, 0, 12, 0, 11, 0, 10})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) > 300 {
-			raw = raw[:300]
+		if len(raw) == 0 {
+			return
+		}
+		if len(raw) > 301 {
+			raw = raw[:301]
 		}
 		torus := topology.NewTorus(4, 4)
-		var set request.Set
-		for i := 0; i+1 < len(raw); i += 2 {
-			s := network.NodeID(int(raw[i]) % 16)
-			d := network.NodeID(int(raw[i+1]) % 16)
-			if s != d {
-				set = append(set, request.Request{Src: s, Dst: d})
+		dead := network.NodeID(int(raw[0]) % 16)
+		faults := fault.NewSet()
+		faults.FailNode(dead)
+		var healthy, survivors request.Set
+		for i := 1; i+1 < len(raw); i += 2 {
+			q := request.Request{Src: network.NodeID(int(raw[i]) % 16), Dst: network.NodeID(int(raw[i+1]) % 16)}
+			if q.Src == q.Dst {
+				continue
+			}
+			healthy = append(healthy, q)
+			if q.Src != dead && q.Dst != dead {
+				survivors = append(survivors, q)
 			}
 		}
-		seq, err := schedule.Combined{Sequential: true}.Schedule(torus, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := schedule.Combined{}.Schedule(torus, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Algorithm != par.Algorithm {
-			t.Fatalf("algorithm %q sequential vs %q parallel", seq.Algorithm, par.Algorithm)
-		}
-		if !reflect.DeepEqual(seq.Configs, par.Configs) {
-			t.Fatalf("parallel schedule diverged:\nsequential: %v\nparallel:   %v", seq.Configs, par.Configs)
-		}
-		if !reflect.DeepEqual(seq.Slot, par.Slot) {
-			t.Fatal("slot index diverged")
-		}
-		if err := par.Validate(set); err != nil {
-			t.Fatal(err)
+		for _, c := range []struct {
+			topo network.Topology
+			set  request.Set
+		}{{torus, healthy}, {fault.NewMasked(torus, faults), survivors}} {
+			if err := diffSchedules(schedule.Combined{}, schedule.OracleCombined{}, c.topo, c.set); err != nil {
+				t.Fatal(err)
+			}
+			got, err := schedule.Combined{}.Schedule(c.topo, c.set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := schedule.Coloring{}.Schedule(c.topo, c.set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb, err := schedule.LowerBound(c.topo, c.set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.Degree() <= lb && got.Algorithm != "combined(coloring)" {
+				t.Fatalf("%s: coloring meets the bound %d, but Combined chose %s", c.topo.Name(), lb, got.Algorithm)
+			}
 		}
 	})
 }

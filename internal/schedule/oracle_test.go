@@ -3,7 +3,6 @@ package schedule
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/network"
 	"repro/internal/request"
@@ -231,57 +230,27 @@ func (o OracleOrderedAAPC) Schedule(t network.Topology, reqs request.Set) (*Resu
 	return newResult("aapc", t, oracleGreedyPartition(reordered, rpaths)), nil
 }
 
-// OracleCombined is the original of Combined, racing the two map-based
-// members with the same deterministic selection and error rules.
-type OracleCombined struct {
-	// Sequential mirrors Combined.Sequential.
-	Sequential bool
-}
+// OracleCombined is the original of Combined: it runs both map-based
+// members on every input, with no lower-bound exit, under the same rules —
+// a coloring error fails the phase, an AAPC error loses to coloring, and
+// AAPC must be strictly better to be selected. The differential suite's
+// agreement with Combined is the proof that the exit changes nothing.
+type OracleCombined struct{}
 
 // Name implements Scheduler.
 func (OracleCombined) Name() string { return "combined" }
 
 // Schedule implements Scheduler.
-func (c OracleCombined) Schedule(t network.Topology, reqs request.Set) (*Result, error) {
-	if network.TerminalCount(t) > AAPCTerminalCutoff {
-		col, err := OracleColoring{}.Schedule(t, reqs)
-		if err != nil {
-			return nil, err
+func (OracleCombined) Schedule(t network.Topology, reqs request.Set) (*Result, error) {
+	best, err := OracleColoring{}.Schedule(t, reqs)
+	if err != nil {
+		return nil, err
+	}
+	if network.TerminalCount(t) <= aapcTerminalCutoff {
+		ap, err := OracleOrderedAAPC{}.Schedule(t, reqs)
+		if err == nil && ap.Degree() < best.Degree() {
+			best = ap
 		}
-		return &Result{
-			Algorithm: "combined(" + col.Algorithm + ")",
-			Topology:  col.Topology,
-			Configs:   col.Configs,
-			Slot:      col.Slot,
-		}, nil
-	}
-	var col, ap *Result
-	var colErr, apErr error
-	if c.Sequential {
-		col, colErr = OracleColoring{}.Schedule(t, reqs)
-		if colErr != nil {
-			return nil, colErr
-		}
-		ap, apErr = OracleOrderedAAPC{}.Schedule(t, reqs)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ap, apErr = OracleOrderedAAPC{}.Schedule(t, reqs)
-		}()
-		col, colErr = OracleColoring{}.Schedule(t, reqs)
-		wg.Wait()
-	}
-	if colErr != nil {
-		return nil, colErr
-	}
-	if apErr != nil {
-		return nil, apErr
-	}
-	best := col
-	if ap.Degree() < col.Degree() {
-		best = ap
 	}
 	return &Result{
 		Algorithm: "combined(" + best.Algorithm + ")",

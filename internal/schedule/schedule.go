@@ -126,8 +126,10 @@ type Scheduler interface {
 // schedule for the request set: the maximum over (a) the load of any
 // directed link, (b) the number of requests sharing a source (PE injection
 // port), and (c) the number sharing a destination (PE ejection port). The
-// load counters come from the pooled compile arena, so repeated bounds (the
-// delta recompiler's quality gate evaluates one per patch) do not allocate.
+// loads are read off the resource index of a pooled compile arena, the
+// same index coloring builds and Combined reads its exit from, so repeated
+// bounds (the delta recompiler's quality gate evaluates one per patch) do
+// not allocate.
 func LowerBound(t network.Topology, reqs request.Set) (int, error) {
 	st := statePool.Get().(*CompileState)
 	defer statePool.Put(st)

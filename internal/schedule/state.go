@@ -74,11 +74,6 @@ type CompileState struct {
 	reordered request.Set
 	rpaths    []network.Path
 
-	// Lower-bound scratch.
-	loadLink []int
-	loadSrc  []int
-	loadDst  []int
-
 	// Result arena: all configurations share one backing array, sliced into
 	// per-slot windows. The arena Result has no Slot map (see finish).
 	cfgBack  request.Set
@@ -195,7 +190,7 @@ func (st *CompileState) buildGraph(paths []network.Path) *ConflictGraph {
 	st.gdeg = grow(st.gdeg, n)
 	st.g = ConflictGraph{n: n, rows: st.grows, deg: st.gdeg}
 	st.ix.build(st.nl, st.nn, paths)
-	fillAllRows(&st.g, st.nl, st.nn, paths, &st.ix)
+	fillRows(&st.g, st.nl, st.nn, paths, &st.ix)
 	return &st.g
 }
 
@@ -262,32 +257,14 @@ func (st *CompileState) greedyConfigs(reqs request.Set, paths []network.Path) {
 	}
 }
 
-// lowerBound is LowerBound through the arena's load counters.
+// lowerBound is LowerBound through the arena's resource index, the one
+// Combined reads its bound from.
 func (st *CompileState) lowerBound(t network.Topology, reqs request.Set) (int, error) {
 	st.bind(t)
 	paths, err := st.routes(t, reqs)
 	if err != nil {
 		return 0, err
 	}
-	st.loadLink = growZero(st.loadLink, st.nl)
-	st.loadSrc = growZero(st.loadSrc, st.nn)
-	st.loadDst = growZero(st.loadDst, st.nn)
-	bound := 0
-	for _, p := range paths {
-		for _, l := range p.Links {
-			st.loadLink[l]++
-			if st.loadLink[l] > bound {
-				bound = st.loadLink[l]
-			}
-		}
-		st.loadSrc[p.Src]++
-		if st.loadSrc[p.Src] > bound {
-			bound = st.loadSrc[p.Src]
-		}
-		st.loadDst[p.Dst]++
-		if st.loadDst[p.Dst] > bound {
-			bound = st.loadDst[p.Dst]
-		}
-	}
-	return bound, nil
+	st.ix.build(st.nl, st.nn, paths)
+	return st.ix.maxLoad(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -107,6 +108,25 @@ func pe16Doc() trace.Document {
 	}}
 }
 
+// survivorsDoc is a 64-PE program that never touches PE 63: a ring over
+// PEs 0-62, on which coloring meets the resource lower bound once PE 63's
+// switch is masked, and 200 random messages among the same PEs, on which
+// it does not.
+func survivorsDoc() trace.Document {
+	ring := trace.Phase{Name: "ring-63"}
+	for i := 0; i < 63; i++ {
+		ring.Messages = append(ring.Messages, trace.Message{Src: i, Dst: (i + 1) % 63, Flits: 2})
+	}
+	scatter := trace.Phase{Name: "random-200"}
+	rng := rand.New(rand.NewSource(6))
+	for len(scatter.Messages) < 200 {
+		if s, d := rng.Intn(63), rng.Intn(63); s != d {
+			scatter.Messages = append(scatter.Messages, trace.Message{Src: s, Dst: d, Flits: 1})
+		}
+	}
+	return trace.Document{Name: "survivors-63", PEs: 64, Phases: []trace.Phase{ring, scatter}}
+}
+
 func moeDoc(t *testing.T) trace.Document {
 	t.Helper()
 	coll, err := collective.MoEAllToAll(64, 2, 32, 7)
@@ -167,6 +187,11 @@ func goldenRequests(t *testing.T, prefix string) []goldenReq {
 			goldenReq{name: topo + "/session", path: "/session" + q, doc: pe16},
 		)
 	}
+	// A dead switch the program never touches leaves the masked view with
+	// no all-to-all decomposition; Combined schedules every phase with
+	// coloring instead of failing.
+	reqs = append(reqs, goldenReq{name: "recompile-untouched-dead-node", path: "/recompile?nodes=63",
+		doc: survivorsDoc(), view: maskedView(t, "torus-8x8", nil, []int{63})})
 	for i := range reqs {
 		reqs[i].name = prefix + "/" + reqs[i].name
 	}
@@ -285,6 +310,7 @@ var goldenTable = []goldenRow{
 	{"nostore/torus3d-2x2x4/compile", 200, "c5a52d29ae6c31b77b7b8977e269e4175615b5b2d30c351d8bd9ea684c7f412e"},
 	{"nostore/torus3d-2x2x4/recompile", 200, "976d49f835284f1ff73b1becbbe2231513e0294a3cc870d6166b46f4ee845788"},
 	{"nostore/torus3d-2x2x4/session", 200, "5704decbdc7319179f237710e92bf9ec2f7626b53335d262ebe82ebe32096f95"},
+	{"nostore/recompile-untouched-dead-node", 200, "23b3fd30074499bdac8c179f17ec07abdf888cb8b658d440806cfd452a5ade1a"},
 	{"store/compile-miss", 200, "935207dc191af75fb67369de5cfce172b3f2b68f2892f3fa0289806264ca8c8d"},
 	{"store/compile-digest-repeat", 200, "e0767620f79d37658d470840881ec600b674ecb3c750ced60f89c595f77ddb0f"},
 	{"store/compile-exact-base", 200, "473aa9668624d06ce4268f548c2df9985c8fc8b9505e5ac01fcdac8488466fa0"},
@@ -325,4 +351,5 @@ var goldenTable = []goldenRow{
 	{"store/torus3d-2x2x4/compile", 200, "d2cdea13c62c373c9f089f6416d4e647943232ab431c730fdcd6272286690baa"},
 	{"store/torus3d-2x2x4/recompile", 200, "4c5ab2bdaacf7e9bd8faadc74de145707eb360b8550c3a144c2bfd5ca08585be"},
 	{"store/torus3d-2x2x4/session", 200, "adc2ac1ed3a4afe8ad729a73a626cd1de8b5914016e8501417dedb0c64d0ffb2"},
+	{"store/recompile-untouched-dead-node", 200, "4142b06ba0b067b42e773e909da4d4d85c765126391bed3bcdb2ba486eecc8ad"},
 }
